@@ -18,7 +18,13 @@ from .families import lone_catalog, pa_test, r_sequence, star_decoration
 from .height import cq_word, height, scope
 from .invariants import FORCED, NOT_FORCED, forces, lam, mu, nu, r_star, r_w
 from .orbits import classify
-from .survey import STAR, decinv_table, universality_sample, universality_scan
+from .survey import (
+    _DEFAULT_DECORATIONS,
+    STAR,
+    decinv_table,
+    universality_sample,
+    universality_scan,
+)
 from .words import DomainError, Seq
 
 
@@ -88,8 +94,7 @@ def _cmd_classify(args) -> int:
     }
     if info.decoration is not None:
         payload["decoration"] = info.decoration
-    print(json.dumps(payload))
-    return 0
+    return _emit(args, [json.dumps(payload)], payload)
 
 
 def _cmd_rinv(args) -> int:
@@ -159,43 +164,32 @@ def _cmd_entropy(args) -> int:
 
 
 def _decorations_arg(text: str) -> tuple[str, ...]:
-    out = []
-    for piece in text.split(","):
-        if piece == STAR:
-            out.append(STAR)
-        elif piece == ".":
-            out.append("")
-        elif piece.strip("01"):
-            raise argparse.ArgumentTypeError(f"not a decoration: {piece!r}")
-        else:
-            out.append(piece)
-    return tuple(out)
+    return tuple(
+        STAR if piece == STAR else _word_arg(piece) for piece in text.split(",")
+    )
 
 
 def _cmd_table(args) -> int:
     table = decinv_table(args.period, args.decorations)
-    headers = [d if d == STAR else (d if d else ".") for d in table.decorations]
-    if args.format == "json":
-        payload = {
-            "period": table.period,
-            "decorations": headers,
-            "scope": [str(v) for v in table.scope_row],
-            "rows": [
-                {
-                    "label": row.label,
-                    "members": list(row.members),
-                    "values": [str(v) for v in row.values],
-                }
-                for row in table.rows
-            ],
+    headers = [d or "." for d in table.decorations]
+    scopes = [str(v) for v in table.scope_row]
+    rows = [
+        {
+            "label": row.label,
+            "members": list(row.members),
+            "values": [str(v) for v in row.values],
         }
-        print(json.dumps(payload))
-        return 0
-    print("\t".join(["orbit"] + headers))
-    print("\t".join(["scope"] + [str(v) for v in table.scope_row]))
-    for row in table.rows:
-        print("\t".join([row.label] + [str(v) for v in row.values]))
-    return 0
+        for row in table.rows
+    ]
+    lines = ["\t".join(["orbit"] + headers), "\t".join(["scope"] + scopes)]
+    lines += ["\t".join([row["label"]] + row["values"]) for row in rows]
+    payload = {
+        "period": table.period,
+        "decorations": headers,
+        "scope": scopes,
+        "rows": rows,
+    }
+    return _emit(args, lines, payload)
 
 
 def _cmd_scan(args) -> int:
@@ -281,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--decorations",
         type=_decorations_arg,
-        default=("*", "", "0", "1", "00", "11", "000", "101", "111"),
+        default=_DEFAULT_DECORATIONS,
     )
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
 

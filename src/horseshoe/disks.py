@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .height import cq_word, scope
+from .height import _check_in_scope, cq_word
 from .words import (
     EQ,
     GT,
@@ -56,13 +56,7 @@ def _specs(w: str, q: Fraction) -> tuple[DiskSpec, ...]:
 
 def disk_specs(w: str, q: Fraction) -> tuple[DiskSpec, ...]:
     """The four disks of the w family at parameter q, in order A, B, C, D."""
-    _check_word(w)
-    q = Fraction(q)
-    if not 0 < q < scope(w):
-        raise DomainError(
-            f"q must lie strictly between 0 and the scope {scope(w)} of {w!r}"
-        )
-    return _specs(w, q)
+    return _specs(w, _check_in_scope(w, q))
 
 
 def in_disk(point: OrbitPoint, spec: DiskSpec) -> bool:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .height import HALF, cq_word
 from .invariants import r_w
-from .words import DomainError, _check_word, canonical_code
+from .words import DomainError, canonical_code
 
 
 def star_decoration(q: Fraction) -> str:

@@ -13,13 +13,13 @@ c_q.  They are checked against each other in the test suite.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
 from .words import (
     EQ,
-    GT,
     LT,
     DomainError,
     Seq,
@@ -29,6 +29,7 @@ from .words import (
 )
 
 HALF = Fraction(1, 2)
+_RUNS = re.compile("0+|1+")
 
 
 @lru_cache(maxsize=None)
@@ -79,11 +80,12 @@ def height(c: Seq) -> Fraction:
     """
     if c[0] == "0" or c[1] == "1":
         return HALF
-    limit = len(c.pre) + 4 * len(c.per) + 8
-    runs = [(ch, len(list(g))) for ch, g in groupby(c.prefix(limit))]
+    window = c.prefix(len(c.pre) + 4 * len(c.per) + 8)
+    end = len(window)
     tail_infinite = c.per in ("0", "1")
-    if not tail_infinite:
-        runs.pop()  # the window truncates the final run; discard it
+    # The one run reaching the window's end is the infinite tail when
+    # tail_infinite holds, and otherwise a run the window may have cut short.
+    runs = _RUNS.finditer(window, 1)  # window[0] is the single leading 1
 
     # X = xn/xd and Y = yn/yd bound the height from below and above;
     # s counts completed chunks 0^kappa 1 1 and S sums their 0-run lengths
@@ -92,23 +94,21 @@ def height(c: Seq) -> Fraction:
     s = 0
     S = 0
     pending = 0
-    j = 1  # runs[0] is the single leading 1
     while True:
         if pending:
-            kappa, run, run_inf = 0, pending, False
+            run, run_inf = pending, False
         else:
-            if j >= len(runs):
+            zeros = next(runs)
+            if zeros.end() == end:
+                if tail_infinite:
+                    return Fraction(xn, xd)  # the sequence ends 0^inf
                 break
-            kappa = runs[j][1]
-            if tail_infinite and j == len(runs) - 1:
-                return Fraction(xn, xd)  # the sequence ends 0^inf
-            j += 1
-            S += kappa
-            if j >= len(runs):
+            S += zeros.end() - zeros.start()
+            ones = next(runs)
+            run_inf = ones.end() == end
+            if run_inf and not tail_infinite:
                 break
-            run = runs[j][1]
-            run_inf = tail_infinite and j == len(runs) - 1
-            j += 1
+            run = ones.end() - ones.start()
         if run_inf:
             # the sequence ends 1^inf
             n2, d2 = s + 1, 2 * s + 1 + S
@@ -194,6 +194,16 @@ def scope(w: str) -> Fraction:
     _check_word(w)
     code = "10" + w + "0"
     return min(height(forward_ray(code, i)) for i in range(len(code)))
+
+
+def _check_in_scope(w: str, q: Fraction) -> Fraction:
+    """q as a Fraction, after checking that 0 < q < scope(w)."""
+    q = Fraction(q)
+    if not 0 < q < scope(w):
+        raise DomainError(
+            f"q must lie strictly between 0 and the scope {scope(w)} of {w!r}"
+        )
+    return q
 
 
 def starlem_check(q: Fraction, r: int, f: Seq) -> bool:

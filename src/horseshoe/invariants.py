@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .height import HALF, height, scope
+from .height import HALF, _check_in_scope, height, scope
 from .words import (
     DomainError,
     _check_word,
@@ -124,11 +124,7 @@ def forces(code: str, w: str, q: Fraction) -> str:
     Returns FORCED, NOT-FORCED, or THRESHOLD (the boundary case q = r^w).
     The parameter must satisfy 0 < q < scope(w).
     """
-    q = Fraction(q)
-    if not 0 < q < scope(w):
-        raise DomainError(
-            f"q must lie strictly between 0 and the scope {scope(w)} of {w!r}"
-        )
+    q = _check_in_scope(w, q)
     r = r_w(w, code)
     if q > r:
         return FORCED

@@ -11,16 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .height import HALF, cq_word, finite_order_word, height, scope
+from .height import HALF, _check_in_scope, cq_word, finite_order_word, height
 from .words import (
-    GT,
     DomainError,
     Seq,
     _check_word,
+    _unimodal_key,
     canonical_code,
     flip_last,
     is_primitive,
-    unimodal_cmp,
 )
 
 FIXED_POINT = "fixed-point"
@@ -95,17 +94,14 @@ def classify(code: str) -> Classification:
         return Classification(word, N, q, NBT)
     if N >= n + 3:
         c = cq_word(q)
-        candidates = [
-            rot
-            for rot in (word[k:] + word[:k] for k in range(N))
-            if rot.startswith(c)
-        ]
-        if not candidates:
+        rotations = (word[k:] + word[:k] for k in range(N))
+        best = max(
+            (rot for rot in rotations if rot.startswith(c)),
+            key=_unimodal_key,
+            default=None,
+        )
+        if best is None:
             raise DomainError(f"cannot classify code: {word}")
-        best = candidates[0]
-        for rot in candidates[1:]:
-            if unimodal_cmp(Seq.periodic(rot), Seq.periodic(best)) == GT:
-                best = rot
         return Classification(
             word,
             N,
@@ -149,11 +145,7 @@ def _is_prime(n: int) -> bool:
 
 def q_in_Qw_sufficient(q: Fraction, w: str) -> bool:
     """A primality condition sufficient for q to be a parameter of the w family."""
-    q = Fraction(q)
-    if not 0 < q < scope(w):
-        raise DomainError(
-            f"q must lie strictly between 0 and the scope {scope(w)} of {w!r}"
-        )
+    q = _check_in_scope(w, q)
     return _is_prime(q.denominator + len(w) + 3)
 
 

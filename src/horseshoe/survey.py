@@ -10,12 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
-from .height import HALF, cq_word, finite_order_word, scope
+from .height import HALF, _check_in_scope, cq_word, finite_order_word, scope
 from .invariants import r_star, r_w
 from .orbits import DECORATED, FINITE_ORDER, NBT, classify
-from .words import DomainError, Seq, canonical_code, is_primitive, unimodal_cmp
+from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 
 STAR = "*"
 
@@ -97,12 +96,9 @@ def decinv_table(
         groups.setdefault((info.kind, info.height, info.decoration), []).append(
             info
         )
-    periodic_cmp = cmp_to_key(
-        lambda a, b: unimodal_cmp(Seq.periodic(a), Seq.periodic(b))
-    )
     rows = []
     for (kind, q, w), infos in groups.items():
-        members = sorted((info.code for info in infos), key=periodic_cmp)
+        members = sorted((info.code for info in infos), key=_unimodal_key)
         values = []
         for d in decorations:
             vals = [r_star(m) if d == STAR else r_w(d, m) for m in members]
@@ -113,18 +109,14 @@ def decinv_table(
             values.append(vals[0])
         label = _row_label(kind, q, w, members, infos)
         rows.append(TableRow(label, tuple(members), tuple(values)))
-    rows.sort(key=lambda row: periodic_cmp(row.members[0]))
+    rows.sort(key=lambda row: _unimodal_key(row.members[0]))
     scope_row = tuple(HALF if d == STAR else scope(d) for d in decorations)
     return DecInvTable(period, decorations, scope_row, tuple(rows))
 
 
 def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
     """The exact fraction of period-n orbits whose invariant r^w is below q."""
-    q = Fraction(q)
-    if not 0 < q < scope(w):
-        raise DomainError(
-            f"q must lie strictly between 0 and the scope {scope(w)} of {w!r}"
-        )
+    q = _check_in_scope(w, q)
     codes = necklaces(n)
     hits = sum(1 for code in codes if r_w(w, code) < q)
     return Fraction(hits, len(codes))
@@ -134,11 +126,7 @@ def universality_sample(
     w: str, q: Fraction, n: int, k: int, seed: int = 0
 ) -> Fraction:
     """Like the scan, estimated from k orbits drawn uniformly at random."""
-    q = Fraction(q)
-    if not 0 < q < scope(w):
-        raise DomainError(
-            f"q must lie strictly between 0 and the scope {scope(w)} of {w!r}"
-        )
+    q = _check_in_scope(w, q)
     if n < 1 or k < 1:
         raise DomainError("need a positive period and sample size")
     rng = random.Random(seed)

@@ -4,12 +4,14 @@ Finite words are plain strings over the alphabet {0, 1}.  One-sided infinite
 sequences are :class:`Seq` values, stored as a preperiodic part followed by a
 repeating part.  The unimodal order is the total order on one-sided sequences
 in which the lexicographic comparison at the first disagreement is reversed
-whenever the common prefix contains an odd number of 1s.
+whenever the common prefix contains an odd number of 1s.  Replacing each
+symbol by the parity of the 1s up to and including it (the kneading
+coordinates of Milnor and Thurston) turns that order into plain
+lexicographic order, so words of one length compare by an integer key.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from os.path import commonprefix
 
 LT, EQ, GT = -1, 0, 1
 
@@ -137,6 +139,22 @@ class Seq:
         return Seq("", self.per[1:] + self.per[0])
 
 
+def _unimodal_key(word: str) -> int:
+    """An integer key for the unimodal order on nonempty words of one length.
+
+    Bit i of the key, counted from the top, is the parity of the 1s in
+    word[:i+1]: the inverse Gray code of the word read as a binary number.
+    For distinct words u, v of one length the key also orders the periodic
+    sequences u^inf and v^inf, which first differ within that length.
+    """
+    x = int(word, 2)
+    k = 1
+    while x >> k:
+        x ^= x >> k
+        k <<= 1
+    return x
+
+
 def unimodal_cmp(s: Seq, t: Seq) -> int:
     """Compare two sequences in the unimodal order; returns LT, EQ or GT.
 
@@ -144,13 +162,8 @@ def unimodal_cmp(s: Seq, t: Seq) -> int:
     they agree everywhere, so the comparison is decided within that window.
     """
     n = max(len(s.pre), len(t.pre)) + len(s.per) + len(t.per)
-    a, b = s.prefix(n), t.prefix(n)
-    if a == b:
-        return EQ
-    i = len(commonprefix((a, b)))
-    if a[:i].count("1") % 2 == 0:
-        return LT if a[i] < b[i] else GT
-    return GT if a[i] < b[i] else LT
+    a, b = _unimodal_key(s.prefix(n)), _unimodal_key(t.prefix(n))
+    return (a > b) - (a < b)
 
 
 def forward_ray(code: str, i: int) -> Seq:
@@ -203,11 +216,4 @@ def canonical_code(word: str) -> str:
     _check_word(word, allow_empty=False)
     d = (word + word).find(word, 1)
     word = word[:d]
-    best = word
-    best_seq = Seq.periodic(word)
-    for k in range(1, len(word)):
-        rot = word[k:] + word[:k]
-        rot_seq = Seq.periodic(rot)
-        if unimodal_cmp(rot_seq, best_seq) == GT:
-            best, best_seq = rot, rot_seq
-    return best
+    return max((word[k:] + word[:k] for k in range(d)), key=_unimodal_key)

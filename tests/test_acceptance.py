@@ -243,13 +243,17 @@ def test_ac07_oracle_agreement():
 
 
 def test_ac08_height_vs_oracle():
-    """The fast height agrees with the Stern-Brocot oracle on 1000 sequences."""
+    """The fast height agrees with the Stern-Brocot oracle on 1064 sequences."""
     rng = random.Random(20260819)
     cases = []
     while len(cases) < 1000:
         per = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
         pre = "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
         cases.append(Seq(pre, per))
+    for _ in range(64):  # long windows: rays of random period-64 codes
+        code = "".join(rng.choice("01") for _ in range(64))
+        i = rng.choice([i for i in range(64) if (code + code)[i : i + 2] == "10"])
+        cases.append(Seq.periodic(code[i:] + code[:i]))
     start = time.perf_counter()
     for c in cases:
         assert height(c) == height_oracle(c, max_den=204), str(c)

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from os.path import commonprefix
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,6 +110,18 @@ def test_seq_normalization_preserves_symbols(pre, per, n):
     assert s.prefix(n) == raw[:n]
 
 
+def _reference_cmp(s, t):
+    """The unimodal order by its definition: the parity of the common prefix."""
+    n = max(len(s.pre), len(t.pre)) + len(s.per) + len(t.per)
+    a, b = s.prefix(n), t.prefix(n)
+    if a == b:
+        return EQ
+    i = len(commonprefix((a, b)))
+    if a[:i].count("1") % 2 == 0:
+        return LT if a[i] < b[i] else GT
+    return GT if a[i] < b[i] else LT
+
+
 def test_unimodal_order_basics():
     top = Seq("1", "0")
     bottom = Seq.periodic("0")
@@ -135,6 +149,20 @@ def test_unimodal_antisymmetry(a, b):
     s, t = Seq.periodic(a), Seq.periodic(b)
     assert unimodal_cmp(s, t) == -unimodal_cmp(t, s)
     assert (unimodal_cmp(s, t) == EQ) == (s == t)
+
+
+_seqs = st.builds(
+    Seq,
+    st.text(alphabet="01", max_size=6),
+    st.text(alphabet="01", min_size=1, max_size=6),
+)
+
+
+@given(s=_seqs, t=_seqs, shared=st.text(alphabet="01", max_size=8))
+def test_unimodal_cmp_matches_reference(s, t, shared):
+    # a shared prefix pushes the first disagreement past the preperiods
+    s, t = Seq(shared + s.pre, s.per), Seq(shared + t.pre, t.per)
+    assert unimodal_cmp(s, t) == _reference_cmp(s, t)
 
 
 def test_rays():
@@ -181,9 +209,12 @@ def test_canonical_code_rotation_invariant(w, k):
 
 
 def test_canonical_code_is_unimodal_max_rotation():
-    for word in ["100010111001010", "10010110", "1000001"]:
+    words = ["100010111001010", "10010110", "1000001"]
+    words += ["".join(bits) for n in range(1, 13) for bits in product("01", repeat=n)]
+    for word in words:
         canon = canonical_code(word)
+        assert canon in word + word
         best = Seq.periodic(canon)
         for k in range(len(word)):
             rot = Seq.periodic(word[k:] + word[:k])
-            assert unimodal_cmp(rot, best) != GT
+            assert _reference_cmp(rot, best) != GT, word
