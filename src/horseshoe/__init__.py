@@ -5,6 +5,8 @@ decoration, the decoration invariants r^w that decide braid forcing, an
 independent disk-intersection forcing oracle, and polynomial entropy
 bounds -- all in exact rational arithmetic.
 """
+from types import ModuleType as _ModuleType
+
 from .disks import DiskSpec, disk_specs, forcing_oracle, in_disk, intersection_counts
 from .entropy import (
     H_poly,
@@ -95,4 +97,8 @@ from .words import (
     unimodal_cmp,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -99,7 +99,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_rinv(args) -> int:
     m, n_, l_ = mu(args.w, args.code), nu(args.w, args.code), lam(args.w, args.code)
-    r = min(l_, max(m, n_))
+    r = r_w(args.w, args.code)
     return _emit(
         args,
         [f"mu={m} nu={n_} lambda={l_} r={r}"],

@@ -20,8 +20,6 @@ from .words import (
     DomainError,
     OrbitPoint,
     Seq,
-    _check_word,
-    canonical_code,
     is_even,
     is_primitive,
     unimodal_cmp,
@@ -82,21 +80,14 @@ def in_disk(point: OrbitPoint, spec: DiskSpec) -> bool:
 def intersection_counts(
     code: str, w: str, q: Fraction
 ) -> tuple[int, int, int, int]:
-    """How many points of the orbit lie in each of the disks A, B, C, D."""
-    _check_word(code, allow_empty=False)
-    q = Fraction(q)
+    """How many points of the orbit lie in each of the disks A, B, C, D.
+
+    A boundary orbit of the family, a rotation of some c_q x w y, has a
+    ray equal to a threshold, so in_disk refuses it.
+    """
     specs = disk_specs(w, q)
-    canon = canonical_code(code)
-    if len(canon) != len(code):
+    if not is_primitive(code):
         raise DomainError(f"imprimitive code: {code}")
-    c = cq_word(q)
-    for x in "01":
-        for y in "01":
-            word = c + x + w + y
-            if is_primitive(word) and canonical_code(word) == canon:
-                raise DomainError(
-                    "the code is a boundary orbit of the family itself"
-                )
     counts = [0, 0, 0, 0]
     for p in range(len(code)):
         point = OrbitPoint(code, p)

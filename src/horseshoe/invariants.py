@@ -69,7 +69,6 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _mu_windows(w: str) -> tuple[str, ...]:
-    _check_word(w)
     return tuple(
         flip_first(v) + x
         for v in even_final_subwords(prepend_even(w))
@@ -79,7 +78,6 @@ def _mu_windows(w: str) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _nu_windows(w: str) -> tuple[str, ...]:
-    _check_word(w)
     return tuple(
         x + flip_last(v)
         for v in even_initial_subwords(append_even(w))
@@ -89,7 +87,6 @@ def _nu_windows(w: str) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _lam_windows(w: str) -> tuple[str, ...]:
-    _check_word(w)
     return tuple(x + w + y for x in "01" for y in "01")
 
 

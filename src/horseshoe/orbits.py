@@ -36,7 +36,6 @@ def is_paired(code: str) -> bool:
     Paired codes come in partner pairs ending 0 and 1 that carry the same
     orbit data; unpaired codes (like 10 and 1011) stand alone.
     """
-    _check_word(code, allow_empty=False)
     return is_primitive(flip_last(code))
 
 
@@ -71,7 +70,6 @@ def classify(code: str) -> Classification:
     with c_q, which factors as c_q x w y; the decoration w and the framing
     symbols x, y are reported.
     """
-    _check_word(code, allow_empty=False)
     if not is_primitive(code):
         raise DomainError(f"imprimitive code: {code}")
     word = canonical_code(code)

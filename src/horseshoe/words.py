@@ -12,6 +12,7 @@ lexicographic order, so words of one length compare by an integer key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 LT, EQ, GT = -1, 0, 1
 
@@ -186,17 +187,17 @@ class OrbitPoint:
 
     The point's biinfinite itinerary is … b₂ b₁ b₀ · f₀ f₁ f₂ … where the
     forward ray f starts at the given offset and the backward ray b starts
-    one position to its left.
+    one position to its left.  Each ray is built once per point.
     """
 
     code: str
     offset: int = 0
 
-    @property
+    @cached_property
     def forward(self) -> Seq:
         return forward_ray(self.code, self.offset)
 
-    @property
+    @cached_property
     def backward(self) -> Seq:
         return backward_ray(self.code, self.offset)
 

@@ -3,10 +3,11 @@
 ``bench/tracer.py`` rebinds package functions by module and name.  A
 refactor that renames or removes one of them would make ``--trace 1``
 fail or silently drop a layer, so this reads the tracer's tables as they
-stand and resolves every name.
+stand and resolves every name, then runs the tracer once on the disk oracle.
 """
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -30,3 +31,19 @@ def test_traced_names_resolve():
     assert hasattr(importlib.import_module("horseshoe.height").height, "cache_info")
     # the tracer counts Seq constructions through __post_init__
     assert callable(importlib.import_module("horseshoe.words").Seq.__post_init__)
+
+
+def test_tracer_counts_disk_calls():
+    """One oracle verdict on a period-8 code tests each point against each disk once."""
+    importlib.import_module("horseshoe.cli")  # install looks up cli.main too
+    disks = importlib.import_module("horseshoe.disks")
+    tracer = _tracer()
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        assert disks.forcing_oracle("10010110", "11", Fraction(9, 25))
+    finally:
+        trace.uninstall()
+    assert trace.stats["disks.intersection_counts"][0] == 1
+    assert trace.stats["disks.in_disk"][0] == 4 * 8
+    assert tracer.count_wrappers() == 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,8 +10,8 @@ from horseshoe.disks import (
     in_disk,
     intersection_counts,
 )
-from horseshoe.height import cq_word
-from horseshoe.words import OrbitPoint, canonical_code
+from horseshoe.height import cq_word, scope
+from horseshoe.words import OrbitPoint, canonical_code, is_primitive
 
 F = Fraction
 
@@ -51,6 +52,20 @@ def test_counts_reject_bad_input():
     # the boundary family itself is excluded
     with pytest.raises(DomainError):
         intersection_counts(canonical_code(cq_word(F(1, 4)) + "0110"), "11", F(1, 4))
+    # every spelling of every boundary orbit c_q x w y, |w| <= 3, den(q) <= 12
+    qs = {F(m, n) for n in range(2, 13) for m in range(1, n // 2 + 1)}
+    cases = 0
+    for w in ("".join(t) for k in range(4) for t in product("01", repeat=k)):
+        for q in (q for q in qs if q < scope(w)):
+            for x, y in product("01", repeat=2):
+                word = cq_word(q) + x + w + y
+                if not is_primitive(word):
+                    continue
+                for k in range(len(word)):
+                    with pytest.raises(DomainError, match="boundary orbit"):
+                        intersection_counts(word[k:] + word[:k], w, q)
+                    cases += 1
+    assert cases == 11688
 
 
 def test_forcing_oracle_values():
