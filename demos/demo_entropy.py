@@ -18,6 +18,7 @@ from horseshoe import (
     eval_poly,
     largest_root,
     r_sequence,
+    root_bracket,
 )
 
 CODE = "10011010"
@@ -31,7 +32,9 @@ def main():
     assert cert is not None
     poly, root, logroot = cert
     print(f"certificate polynomial coefficients (low to high): {poly}")
-    print(f"largest root  = {root:.9f}")
+    a, b = root_bracket(poly)
+    print(f"largest root in [{a}, {b}], width {float(b - a):.1e}")
+    print(f"certified bound = {root:.9f} (the lower end, as a float)")
     print(f"entropy bound = log(root) = {logroot:.9f}")
     assert abs(entropy_lower_bound(CODE, 3) - logroot) < 1e-12
     print()
@@ -51,8 +54,8 @@ def main():
         rk = largest_root(H_poly(1, q))
         print(f"  k={k}  q={q}   root={rk:.6f}   gap={target - rk:+.6f}")
 
-    # Sanity: the certificate root really is a root.
-    assert abs(eval_poly(poly, root)) < 1e-6
+    # Sanity: the polynomial changes sign across the bracket.
+    assert eval_poly(poly, float(a)) * eval_poly(poly, float(b)) < 0
     assert abs(math.log(root) - logroot) < 1e-12
 
 

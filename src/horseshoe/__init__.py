@@ -17,6 +17,7 @@ from .entropy import (
     f_poly,
     g_poly,
     largest_root,
+    root_bracket,
 )
 from .families import (
     interwi_expected,

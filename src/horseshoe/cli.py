@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from .disks import forcing_oracle, intersection_counts
-from .entropy import entropy_certificate
+from .entropy import entropy_certificate, root_bracket
 from .families import lone_catalog, pa_test, r_sequence, star_decoration
 from .height import cq_word, height, scope
 from .invariants import FORCED, NOT_FORCED, forces, lam, mu, nu, r_star, r_w
@@ -153,13 +153,14 @@ def _cmd_family(args) -> int:
 def _cmd_entropy(args) -> int:
     cert = entropy_certificate(args.code, args.imax)
     if cert is None:
-        poly, root, log = [], 1.0, 0.0
+        poly, root, log, bracket = [], 1.0, 0.0, None
     else:
         poly, root, log = cert
+        bracket = [str(end) for end in root_bracket(poly)]
     return _emit(
         args,
         [f"poly={poly} root={root:.9f} log={log:.9f}"],
-        {"code": args.code, "poly": poly, "root": root, "log": log},
+        {"code": args.code, "poly": poly, "root": root, "log": log, "bracket": bracket},
     )
 
 

@@ -66,10 +66,10 @@ def in_disk(point: OrbitPoint, spec: DiskSpec) -> bool:
     """
     if spec.name in ("A", "B"):
         first = point.backward
-        second = point.forward.shift()
+        second = point.forward_shift
     else:
         first = point.forward
-        second = point.backward.shift()
+        second = point.backward_shift
     side1 = unimodal_cmp(first, spec.principal)
     side2 = unimodal_cmp(second, spec.shifted)
     if side1 == EQ or side2 == EQ:

@@ -4,16 +4,22 @@ Each index i and rational q = m/n give two integer polynomials whose
 largest roots in (1, 2] bound the dilatation of orbits in the associated
 family: H for the family members themselves and Hbar for the forcing
 lower bound.  Polynomials are plain coefficient lists, constant term
-first.
+first; their roots are isolated exactly, on the integer coefficients.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .families import r_sequence
 from .height import HALF
 from .words import DomainError
+
+# Bisection depth past which root isolation gives up, and the bracket's
+# width, 2^-_BRACKET_BITS.
+_MAX_DEPTH = 200
+_BRACKET_BITS = 30
 
 
 def _padd(a: list[int], b: list[int]) -> list[int]:
@@ -100,42 +106,105 @@ def Hbar_poly(i: int, q: Fraction) -> list[int]:
     return _padd(t1, t2)
 
 
-def largest_root(
-    coeffs: list[int], lo: float = 1.0, hi: float = 2.0, tol: float = 1e-9
-) -> float:
-    """The largest root of the polynomial in (lo, hi], by grid scan and bisection.
+def _sign_at(coeffs: list[int], num: int, k: int) -> int:
+    """The sign of the polynomial at num / 2^k, by integer Horner."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):  # acc ends as 2^(k*d) p(num / 2^k)
+        acc = acc * num + c * scale
+        scale <<= k
+    return (acc > 0) - (acc < 0)
 
-    The value at hi anchors the sign reference; if it vanishes there the
-    endpoint is nudged up once before giving up.  Roots at lo itself (a
-    common feature of these polynomials) are deliberately out of range.
+
+def _taylor_shift(coeffs: list[int]) -> list[int]:
+    """The coefficients of p(t + 1)."""
+    a = list(coeffs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _variations(coeffs: list[int]) -> int:
+    """Sign variations of (1 + t)^d p(1 / (1 + t)).
+
+    By Descartes' rule this bounds the roots of p in (0, 1) and has their
+    parity, so 0 and 1 are exact counts.
     """
-    f_hi = eval_poly(coeffs, hi)
-    if f_hi == 0.0:
-        hi += 1e-6
-        f_hi = eval_poly(coeffs, hi)
-        if f_hi == 0.0:
-            return hi
-    x_prev, f_prev = hi, f_hi
-    x = hi - 1e-3
-    while x > lo + 1e-9:
-        f_x = eval_poly(coeffs, x)
-        if f_x == 0.0:
-            return x
-        if (f_x < 0) != (f_prev < 0):
-            a, fa, b = x, f_x, x_prev
-            while b - a > tol:
-                m = (a + b) / 2
-                f_m = eval_poly(coeffs, m)
-                if f_m == 0.0:
-                    return m
-                if (f_m < 0) == (fa < 0):
-                    a, fa = m, f_m
-                else:
-                    b = m
-            return (a + b) / 2
-        x_prev, f_prev = x, f_x
-        x -= 1e-3
-    raise DomainError("no root in the requested interval")
+    signs = [c > 0 for c in _taylor_shift(coeffs[::-1]) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def root_bracket(coeffs: list[int]) -> tuple[Fraction, Fraction]:
+    """A dyadic bracket [a, b] of the largest root in (1, 2], with b - a <= 2^-30.
+
+    Vincent-Collins-Akritas bisection on exact integer coefficients visits
+    the right half of (1, 2) first, so the first interval whose Descartes
+    bound is one holds the largest root and every interval to its right has
+    been shown root-free.  Bisection on exact signs at dyadic points then
+    narrows it; p(a) and p(b) have opposite signs, or a == b is a root.
+    Roots at 1 itself are out of range.  Raises DomainError when (1, 2] holds
+    no root, and ArithmeticError when the largest root is a repeated one,
+    which Descartes' bound never isolates.
+    """
+    # (P, c, k): P(t) is 2^(k*d) p(1 + (c + t) / 2^k), so (0, 1) maps onto
+    # (1 + c / 2^k, 1 + (c + 1) / 2^k); P None marks the exact root 1 + c / 2^k.
+    d = len(coeffs) - 1
+    top = _taylor_shift(coeffs)
+    stack = [(None, 1, 0)] if sum(top) == 0 else [(top, 0, 0)]
+    while stack:
+        P, c, k = stack.pop()
+        if P is None:
+            a = 1 + Fraction(c, 1 << k)
+            return a, a
+        v = _variations(P)
+        if v == 0:
+            continue
+        if v == 1:
+            return _refine(coeffs, (1 << k) + c, k)
+        if k >= _MAX_DEPTH:
+            raise ArithmeticError("root isolation did not converge")
+        left = [x << (d - j) for j, x in enumerate(P)]  # 2^d P(t / 2)
+        right = _taylor_shift(left)
+        stack.append((left, 2 * c, k + 1))
+        if right[0] == 0:
+            stack.append((None, 2 * c + 1, k + 1))
+        stack.append((right, 2 * c + 1, k + 1))
+    raise DomainError("no root in (1, 2]")
+
+
+def _refine(coeffs: list[int], num: int, k: int) -> tuple[Fraction, Fraction]:
+    """Bisect (num / 2^k, (num + 1) / 2^k), which holds exactly one simple root.
+
+    p vanishes nowhere on the bracket but perhaps at its left end, so the
+    loop runs until that end has the sign opposite to the right one.
+    """
+    sb = _sign_at(coeffs, num + 1, k)
+    sa = _sign_at(coeffs, num, k)
+    while k < _BRACKET_BITS or sa != -sb:
+        num, k = 2 * num, k + 1
+        sm = _sign_at(coeffs, num + 1, k)
+        if sm == 0:
+            m = Fraction(num + 1, 1 << k)
+            return m, m
+        if sm != sb:
+            num, sa = num + 1, sm
+    return Fraction(num, 1 << k), Fraction(num + 1, 1 << k)
+
+
+def largest_root(coeffs: list[int]) -> float:
+    """A lower bound for the largest root in (1, 2]: the float nearest the
+    lower end of ``root_bracket`` that does not exceed it."""
+    a = root_bracket(coeffs)[0]
+    x = float(a)
+    return x if x <= a else math.nextafter(x, 0.0)
+
+
+@lru_cache(maxsize=4096)
+def _certificate(i: int, r: Fraction) -> tuple[tuple[int, ...], float, float]:
+    """(Hbar(i, r), its root bound, the log of that bound rounded down)."""
+    poly = Hbar_poly(i, r)
+    root = largest_root(poly)
+    return tuple(poly), root, math.nextafter(math.log(root), 0.0)
 
 
 def entropy_certificate(
@@ -144,18 +213,20 @@ def entropy_certificate(
     """The best entropy certificate among the odd-ones invariants of the code.
 
     Returns (polynomial, root, log root) for the index whose Hbar root is
-    largest, or None when no invariant drops below 1/2.
+    largest, or None when no invariant drops below 1/2.  The root is a lower
+    bound for the largest root of the polynomial and the log a lower bound
+    for its logarithm.
     """
-    best: tuple[list[int], float] | None = None
+    best = None
     for i, r in enumerate(r_sequence(code, i_max)):
         if r < HALF:
-            poly = Hbar_poly(i, r)
-            root = largest_root(poly, 1.0, 2.0, 1e-9)
-            if best is None or root > best[1]:
-                best = (poly, root)
+            cert = _certificate(i, r)
+            if best is None or cert[1] > best[1]:
+                best = cert
     if best is None:
         return None
-    return best[0], best[1], math.log(best[1])
+    poly, root, log = best
+    return list(poly), root, log
 
 
 def entropy_lower_bound(code: str, i_max: int) -> float:

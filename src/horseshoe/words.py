@@ -187,7 +187,8 @@ class OrbitPoint:
 
     The point's biinfinite itinerary is … b₂ b₁ b₀ · f₀ f₁ f₂ … where the
     forward ray f starts at the given offset and the backward ray b starts
-    one position to its left.  Each ray is built once per point.
+    one position to its left.  Each ray, and each ray with its first
+    symbol removed, is built once per point.
     """
 
     code: str
@@ -200,6 +201,14 @@ class OrbitPoint:
     @cached_property
     def backward(self) -> Seq:
         return backward_ray(self.code, self.offset)
+
+    @cached_property
+    def forward_shift(self) -> Seq:
+        return self.forward.shift()
+
+    @cached_property
+    def backward_shift(self) -> Seq:
+        return self.backward.shift()
 
 
 def is_primitive(word: str) -> bool:

@@ -29,7 +29,6 @@ from horseshoe import (
     classify,
     cq_word,
     disk_specs,
-    eval_poly,
     finite_order_word,
     forcing_oracle,
     height,
@@ -60,6 +59,7 @@ from horseshoe import (
 )
 from horseshoe.cli import main
 from horseshoe.height import _cq
+from test_entropy import sturm_count
 
 F = Fraction
 
@@ -505,18 +505,7 @@ def _ac9_self_value():
 def _ac9_hbar_unique_root():
     for i in range(4):
         for q in _fractions_below(F(1, 2), 8):
-            coeffs = Hbar_poly(i, q)
-            changes = 0
-            prev = 0.0
-            x = 1.0 + 1e-6
-            while x <= 2.0:
-                val = eval_poly(coeffs, x)
-                if val != 0 and prev != 0 and (val > 0) != (prev > 0):
-                    changes += 1
-                if val != 0:
-                    prev = val
-                x += 1e-3
-            assert changes == 1, (i, q)
+            assert sturm_count(Hbar_poly(i, q), 1, 2) == 1, (i, q)
 
 
 def _ac9_convergence():

@@ -47,3 +47,30 @@ def test_tracer_counts_disk_calls():
     assert trace.stats["disks.intersection_counts"][0] == 1
     assert trace.stats["disks.in_disk"][0] == 4 * 8
     assert tracer.count_wrappers() == 0
+
+
+def test_tracer_counts_root_isolations():
+    """Certificates that share (i, r) pairs isolate each pair's root once."""
+    importlib.import_module("horseshoe.cli")
+    entropy = importlib.import_module("horseshoe.entropy")
+    r_sequence = importlib.import_module("horseshoe.families").r_sequence
+    codes = ["10011010", "10011010", "100111111", "10000111001110", "10010101101110"]
+    pairs = {
+        (i, r)
+        for code in codes
+        for i, r in enumerate(r_sequence(code, 3))
+        if r < Fraction(1, 2)
+    }
+    entropy._certificate.cache_clear()
+    tracer = _tracer()
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        for code in codes:
+            assert entropy.entropy_certificate(code, 3) is not None
+    finally:
+        trace.uninstall()
+    # 19 invariants below 1/2 across the codes, 8 distinct (i, r) pairs
+    assert trace.stats["entropy.largest_root"][0] == len(pairs) == 8
+    assert trace.stats["entropy.eval_poly"][0] == 0
+    assert tracer.count_wrappers() == 0

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -125,6 +126,17 @@ def test_entropy_trivial(capsys):
     assert code == 0
     assert "root=1.000000000" in out
     assert "log=0.000000000" in out
+
+
+def test_entropy_json_bracket(capsys):
+    code, out, _ = run(capsys, "entropy", "10011010", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    a, b = (Fraction(end) for end in payload["bracket"])
+    assert a == Fraction(payload["root"])
+    assert 0 <= b - a <= Fraction(1, 2**30)
+    code, out, _ = run(capsys, "entropy", "10", "--format", "json")
+    assert json.loads(out)["bracket"] is None
 
 
 def test_table_tsv(capsys):

@@ -13,9 +13,66 @@ from horseshoe.entropy import (
     f_poly,
     g_poly,
     largest_root,
+    root_bracket,
 )
+from horseshoe.entropy import _certificate
 
 F = Fraction
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _divmod(a, b):
+    """Quotient and remainder of a divided by b, over the rationals."""
+    a, q = [F(c) for c in a], [F(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        k, c = len(a) - len(b), a[-1] / b[-1]
+        q[k] = c
+        for j, v in enumerate(b):
+            a[j + k] -= c * v
+        a = _trim(a)
+    return q, a
+
+
+def _deriv(p):
+    return _trim([j * c for j, c in enumerate(p)][1:])
+
+
+def _value(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def sturm_count(coeffs, lo, hi):
+    """The number of distinct real roots in (lo, hi], exactly.
+
+    The polynomial is divided by its gcd with its derivative, and Sturm's
+    theorem counts the roots of that square-free part as V(lo) - V(hi).
+    Independent of the package's Descartes isolation.
+    """
+    p = _trim(coeffs)
+    g, h = p, _deriv(p)
+    if not h:
+        return 0
+    while h:
+        g, h = h, _divmod(g, h)[1]
+    p = _divmod(p, g)[0]
+    seq = [p, _deriv(p)]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _divmod(seq[-2], seq[-1])[1]])
+
+    def variations(x):
+        signs = [v > 0 for v in (_value(s, x) for s in seq) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(F(lo)) - variations(F(hi))
 
 
 def _pmul(a, b):
@@ -68,6 +125,55 @@ def test_roots():
 def test_largest_root_no_root():
     with pytest.raises(DomainError):
         largest_root([1, 0, 1])  # x^2 + 1 has no real root in (1, 2]
+    with pytest.raises(DomainError):
+        largest_root([-1, 1])  # roots at 1 itself are out of range
+
+
+def test_sturm_count():
+    # (x - 1)^2 (2x - 3)(x^2 - 3): distinct roots 1, 3/2 and sqrt(3)
+    p = _pmul(_pmul([1, -2, 1], [-3, 2]), [-3, 0, 1])
+    assert sturm_count(p, 1, 2) == 2
+    assert sturm_count(p, 0, 1) == 1
+    assert sturm_count(p, F(3, 2), 2) == 1
+    assert sturm_count([1, 0, 1], -10, 10) == 0
+
+
+def test_root_bracket_edge_cases():
+    # roots at 2 and at a dyadic bisection point come back exactly
+    assert root_bracket([-2, 1]) == (2, 2)
+    assert root_bracket(_pmul([-3, 2], [-5, 4])) == (F(3, 2), F(3, 2))
+    # roots 5/3 and 5/3 + 2^-55 / 3: the bracket needs more bits than a
+    # float holds, and the nearest float lies above its lower end
+    p = _pmul([-5, 3], [-(5 * 2**55 + 1), 3 * 2**55])
+    a, b = root_bracket(p)
+    assert _value(p, a) * _value(p, b) < 0 and sturm_count(p, b, 2) == 0
+    assert float(a) > a and largest_root(p) < a
+    # a repeated root is never isolated by Descartes' bound
+    with pytest.raises(ArithmeticError):
+        root_bracket(_pmul([-4, 3], [-4, 3]))
+
+
+def _fractions_below_half(max_den):
+    return sorted(
+        {F(m, n) for n in range(3, max_den + 1) for m in range(1, (n + 1) // 2)}
+    )
+
+
+def test_root_bracket_certified():
+    """Every bracket holds the largest root in (1, 2], checked by Sturm counts."""
+    for i in range(4):
+        for q in _fractions_below_half(12):
+            for p in (Hbar_poly(i, q), H_poly(i, q)):
+                a, b = root_bracket(p)
+                pa, pb = _value(p, a), _value(p, b)
+                assert pa * pb < 0 or (a == b and pa == 0), (i, q)
+                assert b - a <= F(1, 2**30)
+                assert sturm_count(p, b, 2) == 0, (i, q)
+                assert largest_root(p) == a
+            a = root_bracket(Hbar_poly(i, q))[0]
+            poly, root, log_root = _certificate(i, q)
+            assert list(poly) == Hbar_poly(i, q) and root == a
+            assert log_root <= math.log(a)
 
 
 def test_roots_increase_toward_limit():

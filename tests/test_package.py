@@ -21,4 +21,4 @@ def test_all_names_resolve_and_cover_the_public_api():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(horseshoe.__all__)
-    assert len(public) == 79
+    assert len(public) == 80
