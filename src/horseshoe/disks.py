@@ -20,6 +20,8 @@ from .words import (
     DomainError,
     OrbitPoint,
     Seq,
+    backward_ray,
+    forward_ray,
     is_even,
     is_primitive,
     unimodal_cmp,
@@ -66,10 +68,10 @@ def in_disk(point: OrbitPoint, spec: DiskSpec) -> bool:
     """
     if spec.name in ("A", "B"):
         first = point.backward
-        second = point.forward_shift
+        second = forward_ray(point.code, point.offset + 1)
     else:
         first = point.forward
-        second = point.backward_shift
+        second = backward_ray(point.code, point.offset - 1)
     side1 = unimodal_cmp(first, spec.principal)
     side2 = unimodal_cmp(second, spec.shifted)
     if side1 == EQ or side2 == EQ:

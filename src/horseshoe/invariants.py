@@ -46,6 +46,8 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
     end; "both" takes the larger of the two heights before minimizing.
     """
     _check_word(code, allow_empty=False)
+    if direction not in (FORWARD, BACKWARD, BOTH):
+        raise DomainError(f"unknown direction: {direction!r}")
     N = len(code)
     best = HALF
     for v in windows:
@@ -55,13 +57,11 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
                 q = height(forward_ray(code, i))
             elif direction == BACKWARD:
                 q = height(backward_ray(code, p))
-            elif direction == BOTH:
+            else:
                 q = max(
                     height(backward_ray(code, p)),
                     height(forward_ray(code, i)),
                 )
-            else:
-                raise DomainError(f"unknown direction: {direction!r}")
             if q < best:
                 best = q
     return best

@@ -16,7 +16,6 @@ from .words import (
     DomainError,
     Seq,
     _check_word,
-    _unimodal_key,
     canonical_code,
     flip_last,
     is_primitive,
@@ -66,9 +65,8 @@ def classify(code: str) -> Classification:
     """Classify a primitive cyclic code.
 
     The returned code is the canonical spelling.  For decorated orbits the
-    canonical code is rotated to the unimodal-maximal rotation beginning
-    with c_q, which factors as c_q x w y; the decoration w and the framing
-    symbols x, y are reported.
+    canonical code begins with c_q and factors as c_q x w y; the decoration
+    w and the framing symbols x, y are reported.
     """
     if not is_primitive(code):
         raise DomainError(f"imprimitive code: {code}")
@@ -91,23 +89,16 @@ def classify(code: str) -> Classification:
             raise DomainError(f"cannot classify code: {word}")
         return Classification(word, N, q, NBT)
     if N >= n + 3:
-        c = cq_word(q)
-        rotations = (word[k:] + word[:k] for k in range(N))
-        best = max(
-            (rot for rot in rotations if rot.startswith(c)),
-            key=_unimodal_key,
-            default=None,
-        )
-        if best is None:
+        if not word.startswith(cq_word(q)):
             raise DomainError(f"cannot classify code: {word}")
         return Classification(
             word,
             N,
             q,
             DECORATED,
-            decoration=best[n + 2 : N - 1],
-            x=best[n + 1],
-            y=best[N - 1],
+            decoration=word[n + 2 : N - 1],
+            x=word[n + 1],
+            y=word[N - 1],
         )
     raise DomainError(f"cannot classify code: {word}")
 

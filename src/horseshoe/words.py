@@ -12,7 +12,7 @@ lexicographic order, so words of one length compare by an integer key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 LT, EQ, GT = -1, 0, 1
 
@@ -113,7 +113,6 @@ class Seq:
                 raise DomainError(f"malformed sequence: {text!r}")
             pre, per = text[:-1].split("(")
             return Seq(pre, per)
-        _check_word(text, allow_empty=False)
         return Seq("", text)
 
     def __str__(self) -> str:
@@ -167,6 +166,11 @@ def unimodal_cmp(s: Seq, t: Seq) -> int:
     return (a > b) - (a < b)
 
 
+# One entry per (code, position): room for every ray of a code of period 1000.
+_RAY_CACHE = 1024
+
+
+@lru_cache(maxsize=_RAY_CACHE)
 def forward_ray(code: str, i: int) -> Seq:
     """The periodic sequence read rightward from position i of the cyclic code."""
     _check_word(code, allow_empty=False)
@@ -174,6 +178,7 @@ def forward_ray(code: str, i: int) -> Seq:
     return Seq("", code[i:] + code[:i])
 
 
+@lru_cache(maxsize=_RAY_CACHE)
 def backward_ray(code: str, i: int) -> Seq:
     """The periodic sequence read leftward starting at position i−1 of the cyclic code."""
     _check_word(code, allow_empty=False)
@@ -187,28 +192,20 @@ class OrbitPoint:
 
     The point's biinfinite itinerary is … b₂ b₁ b₀ · f₀ f₁ f₂ … where the
     forward ray f starts at the given offset and the backward ray b starts
-    one position to its left.  Each ray, and each ray with its first
-    symbol removed, is built once per point.
+    one position to its left.  Both rays come from the cached builders
+    :func:`forward_ray` and :func:`backward_ray`.
     """
 
     code: str
     offset: int = 0
 
-    @cached_property
+    @property
     def forward(self) -> Seq:
         return forward_ray(self.code, self.offset)
 
-    @cached_property
+    @property
     def backward(self) -> Seq:
         return backward_ray(self.code, self.offset)
-
-    @cached_property
-    def forward_shift(self) -> Seq:
-        return self.forward.shift()
-
-    @cached_property
-    def backward_shift(self) -> Seq:
-        return self.backward.shift()
 
 
 def is_primitive(word: str) -> bool:

@@ -11,12 +11,14 @@ from horseshoe.invariants import (
     lam,
     mu,
     nu,
+    r_dir,
     r_star,
     r_w,
     rhe_is_half,
 )
-from horseshoe.survey import necklaces
-from horseshoe.words import canonical_code
+from horseshoe.height import scope
+from horseshoe.survey import _DEFAULT_DECORATIONS, STAR, necklaces
+from horseshoe.words import Seq, backward_ray, canonical_code, forward_ray
 
 F = Fraction
 
@@ -37,8 +39,6 @@ def test_r_w_combination_rule():
 
 
 def test_invariant_capped_by_scope():
-    from horseshoe.height import scope
-
     for code in necklaces(7):
         for w in ["", "0", "1", "00", "11"]:
             assert r_w(w, code) <= scope(w)
@@ -123,3 +123,38 @@ def test_dilution_shrinks_invariant():
     for k in range(3, 7):
         code = canonical_code("10101" + "0" * (2 * k))
         assert r_w("1", code) < F(1, k)
+
+
+def test_r_dir_rejects_unknown_direction():
+    # "1" does not occur in 000, so the loop body never runs there
+    for code in ("000", "0100"):
+        with pytest.raises(DomainError):
+            r_dir(code, ("1",), "sideways")
+
+
+def test_rays_built_once_per_position(monkeypatch):
+    code = "10001001001001"
+    decorations = [d for d in _DEFAULT_DECORATIONS if d != STAR]
+    for w in decorations:
+        scope(w)
+    forward_ray.cache_clear()
+    backward_ray.cache_clear()
+    built = []
+    post_init = Seq.__post_init__
+
+    def counted(seq):
+        built.append(1)
+        post_init(seq)
+
+    monkeypatch.setattr(Seq, "__post_init__", counted)
+    r_star(code)
+    for w in decorations:
+        r_w(w, code)
+    # one forward and one backward ray per position, however many windows
+    assert len(built) <= 2 * len(code)
+    monkeypatch.undo()
+    for build in (forward_ray, backward_ray):
+        for bad in ("", "102"):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    build(bad, 0)

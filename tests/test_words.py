@@ -85,6 +85,8 @@ def test_seq_parse_and_str():
         Seq.parse("10()")
     with pytest.raises(DomainError):
         Seq.parse("")
+    with pytest.raises(DomainError):
+        Seq.parse("12")
 
 
 def test_seq_indexing_prefix_shift():
