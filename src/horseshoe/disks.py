@@ -66,12 +66,14 @@ def in_disk(point: OrbitPoint, spec: DiskSpec) -> bool:
     threshold the point belongs to the family boundary orbit itself and a
     DomainError is raised.
     """
+    code, offset = point.code, point.offset
+    # the neighbour's index is reduced mod N so its ray hits the ray cache
     if spec.name in ("A", "B"):
         first = point.backward
-        second = forward_ray(point.code, point.offset + 1)
+        second = forward_ray(code, (offset + 1) % len(code))
     else:
         first = point.forward
-        second = backward_ray(point.code, point.offset - 1)
+        second = backward_ray(code, (offset - 1) % len(code))
     side1 = unimodal_cmp(first, spec.principal)
     side2 = unimodal_cmp(second, spec.shifted)
     if side1 == EQ or side2 == EQ:

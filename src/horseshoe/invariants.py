@@ -33,9 +33,17 @@ NOT_FORCED = "NOT-FORCED"
 AT_THRESHOLD = "THRESHOLD"
 
 
-def _occurrences(code: str, v: str) -> list[int]:
-    doubled = code * (len(v) // len(code) + 2)
-    return [p for p in range(len(code)) if doubled.startswith(v, p)]
+# One entry per code: decinv_table reads a row's few members in turn and
+# r_sequence one code i_max + 1 times, so a small bound keeps every reuse.
+@lru_cache(maxsize=256)
+def _ray_heights(code: str) -> tuple[list, list]:
+    """Height slots of one code's forward and backward rays, by position.
+
+    Every slot starts empty and :func:`r_dir` fills it on first read, so
+    the invariants of one orbit share its 2N ray heights.
+    """
+    _check_word(code, allow_empty=False)
+    return [None] * len(code), [None] * len(code)
 
 
 def r_dir(code: str, windows, direction: str) -> Fraction:
@@ -45,25 +53,38 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
     forward ray leaving its right end and a backward ray leaving its left
     end; "both" takes the larger of the two heights before minimizing.
     """
-    _check_word(code, allow_empty=False)
+    fwd, bwd = _ray_heights(code)
     if direction not in (FORWARD, BACKWARD, BOTH):
         raise DomainError(f"unknown direction: {direction!r}")
     N = len(code)
-    best = HALF
+    # best = bn/bd; heights are compared by cross-multiplying
+    best, bn, bd = HALF, 1, 2
     for v in windows:
-        for p in _occurrences(code, v):
-            i = (p + len(v)) % N
-            if direction == FORWARD:
-                q = height(forward_ray(code, i))
-            elif direction == BACKWARD:
-                q = height(backward_ray(code, p))
+        L = len(v)
+        doubled = code * (L // N + 2)
+        end = N + L - 1  # an occurrence found before end starts below N
+        p = doubled.find(v, 0, end)
+        while p >= 0:
+            if direction == BACKWARD:
+                q = bwd[p]
+                if q is None:
+                    q = bwd[p] = height(backward_ray(code, p))
             else:
-                q = max(
-                    height(backward_ray(code, p)),
-                    height(forward_ray(code, i)),
-                )
-            if q < best:
-                best = q
+                i = (p + L) % N
+                q = fwd[i]
+                if q is None:
+                    q = fwd[i] = height(forward_ray(code, i))
+                # the backward ray can only raise q, so read it only when
+                # q would beat the best so far
+                if direction == BOTH and q.numerator * bd < bn * q.denominator:
+                    b = bwd[p]
+                    if b is None:
+                        b = bwd[p] = height(backward_ray(code, p))
+                    if b.numerator * q.denominator > q.numerator * b.denominator:
+                        q = b
+            if q.numerator * bd < bn * q.denominator:
+                best, bn, bd = q, q.numerator, q.denominator
+            p = doubled.find(v, p + 1, end)
     return best
 
 
@@ -106,8 +127,19 @@ def lam(w: str, code: str) -> Fraction:
 
 
 def r_w(w: str, code: str) -> Fraction:
-    """The decoration invariant r^w of an orbit code."""
-    return min(lam(w, code), max(mu(w, code), nu(w, code)))
+    """The decoration invariant r^w of an orbit code.
+
+    r^w = min(scope(w), lam, max(mu, nu)), which equals min(lam, max(mu, nu))
+    over the scope-capped mu, nu and lam.
+    """
+    return min(
+        scope(w),
+        r_dir(code, _lam_windows(w), BOTH),
+        max(
+            r_dir(code, _mu_windows(w), FORWARD),
+            r_dir(code, _nu_windows(w), BACKWARD),
+        ),
+    )
 
 
 def r_star(code: str) -> Fraction:

@@ -44,7 +44,11 @@ def orbit_height(code: str) -> Fraction:
     The code is brought to canonical form first.  A paired code ending in
     1 takes its height from its partner ending in 0.
     """
-    code = canonical_code(code)
+    return _canonical_height(canonical_code(code))
+
+
+def _canonical_height(code: str) -> Fraction:
+    """orbit_height of a code already in canonical form."""
     if is_paired(code) and code.endswith("1"):
         code = flip_last(code)
     return height(Seq.periodic(code))
@@ -78,7 +82,7 @@ def classify(code: str) -> Classification:
         return Classification(word, 2, HALF, PERIOD_TWO)
     if word == "1011":
         return Classification(word, 4, HALF, REDUCIBLE)
-    q = orbit_height(word)
+    q = _canonical_height(word)
     n = q.denominator
     if N == n:
         if not word.startswith(finite_order_word(q)):

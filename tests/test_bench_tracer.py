@@ -74,3 +74,30 @@ def test_tracer_counts_root_isolations():
     assert trace.stats["entropy.largest_root"][0] == len(pairs) == 8
     assert trace.stats["entropy.eval_poly"][0] == 0
     assert tracer.count_wrappers() == 0
+
+
+def test_tracer_counts_heights_per_orbit():
+    """A cold period-10 table asks each orbit's ray heights at most once each."""
+    importlib.import_module("horseshoe.cli")
+    invariants = importlib.import_module("horseshoe.invariants")
+    survey = importlib.import_module("horseshoe.survey")
+    scope = importlib.import_module("horseshoe.height").scope
+    n = 10
+    codes = survey.necklaces(n)
+    decorations = [w for w in survey._DEFAULT_DECORATIONS if w != survey.STAR]
+    invariants._ray_heights.cache_clear()
+    scope.cache_clear()
+    tracer = _tracer()
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        table = survey.decinv_table(n)
+    finally:
+        trace.uninstall()
+    assert sum(len(row.members) for row in table.rows) == len(codes) == 99
+    # 2N ray heights per orbit, one orbit height per classify, and the
+    # rays of each decoration's scope cycle 10w0
+    scope_rays = sum(len("10" + w + "0") for w in decorations)
+    calls = trace.report()["height.height"]["calls"]
+    assert calls <= len(codes) * (2 * n + 1) + scope_rays
+    assert tracer.count_wrappers() == 0

@@ -2,11 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+import horseshoe.invariants as invariants
+from horseshoe.families import lone_catalog
 from horseshoe.invariants import (
     AT_THRESHOLD,
+    BOTH,
     FORCED,
     NOT_FORCED,
     DomainError,
+    _lam_windows,
+    _mu_windows,
+    _nu_windows,
     forces,
     lam,
     mu,
@@ -16,7 +22,7 @@ from horseshoe.invariants import (
     r_w,
     rhe_is_half,
 )
-from horseshoe.height import scope
+from horseshoe.height import height, scope
 from horseshoe.survey import _DEFAULT_DECORATIONS, STAR, necklaces
 from horseshoe.words import Seq, backward_ray, canonical_code, forward_ray
 
@@ -139,22 +145,67 @@ def test_rays_built_once_per_position(monkeypatch):
         scope(w)
     forward_ray.cache_clear()
     backward_ray.cache_clear()
+    invariants._ray_heights.cache_clear()
     built = []
+    heights = []
     post_init = Seq.__post_init__
 
     def counted(seq):
         built.append(1)
         post_init(seq)
 
+    def counted_height(seq):
+        heights.append(1)
+        return height(seq)
+
     monkeypatch.setattr(Seq, "__post_init__", counted)
+    monkeypatch.setattr(invariants, "height", counted_height)
     r_star(code)
     for w in decorations:
         r_w(w, code)
-    # one forward and one backward ray per position, however many windows
+    # one forward and one backward ray per position, however many windows,
+    # and each of their heights is asked for once
     assert len(built) <= 2 * len(code)
+    assert 0 < len(heights) <= 2 * len(code)
     monkeypatch.undo()
     for build in (forward_ray, backward_ray):
         for bad in ("", "102"):
             for _ in range(2):
                 with pytest.raises(DomainError):
                     build(bad, 0)
+    # the per-code height memo caches no exception either
+    for bad in ("", "102"):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                r_dir(bad, ("0", "1"), BOTH)
+
+
+def _reference_r_dir(code, windows, direction):
+    """r_dir as one fresh ray and one height per occurrence, min over Fractions."""
+    N = len(code)
+    best = F(1, 2)
+    for v in windows:
+        doubled = code * (len(v) // N + 2)
+        for p in range(N):
+            if not doubled.startswith(v, p):
+                continue
+            i = (p + len(v)) % N
+            forward = height(Seq.periodic(code[i:] + code[:i]))
+            backward = height(Seq.periodic((code[p:] + code[:p])[::-1]))
+            q = {"forward": forward, "backward": backward, "both": max(forward, backward)}
+            best = min(best, q[direction])
+    return best
+
+
+def test_r_dir_matches_reference_on_small_periods():
+    decorations = lone_catalog(5)
+    assert len(decorations) == 21
+    for n in range(1, 12):
+        for code in necklaces(n):
+            assert r_star(code) == min(F(1, 2), _reference_r_dir(code, ("0", "1"), "both"))
+            for w in decorations:
+                s = scope(w)
+                m = min(s, _reference_r_dir(code, _mu_windows(w), "forward"))
+                u = min(s, _reference_r_dir(code, _nu_windows(w), "backward"))
+                b = min(s, _reference_r_dir(code, _lam_windows(w), "both"))
+                assert r_w(w, code) == min(b, max(m, u)), (w, code)
