@@ -4,8 +4,12 @@ For a decoration w and parameter q, four disks A, B, C, D are cut out of
 the plane by the stable and unstable boundary of the decorated family
 member.  Whether a point of a periodic orbit lies in a disk is decided by
 two strict unimodal comparisons of its rays against periodic thresholds.
-Counting the orbit's points in each disk gives a forcing test that is
-completely independent of the invariant formula.
+Every sequence in such a comparison is periodic, so one window of N plus
+the longest threshold period decides them all: each ray and threshold is
+read as one integer key (:func:`words._unimodal_key`) at that window, and
+membership is an integer comparison.  Counting the orbit's points in each
+disk gives a forcing test that is completely independent of the invariant
+formula.
 """
 from __future__ import annotations
 
@@ -15,16 +19,13 @@ from functools import lru_cache
 
 from .height import _check_in_scope, cq_word
 from .words import (
-    EQ,
-    GT,
     DomainError,
     OrbitPoint,
     Seq,
-    backward_ray,
-    forward_ray,
+    _check_word,
+    _unimodal_key,
     is_even,
     is_primitive,
-    unimodal_cmp,
 )
 
 
@@ -42,7 +43,8 @@ class DiskSpec:
     shifted: Seq
 
 
-@lru_cache(maxsize=None)
+# One entry per (w, q): an oracle_sweep pass asks about 900 distinct pairs.
+@lru_cache(maxsize=4096)
 def _specs(w: str, q: Fraction) -> tuple[DiskSpec, ...]:
     c = cq_word(q)
     rw = w[::-1]
@@ -59,26 +61,53 @@ def disk_specs(w: str, q: Fraction) -> tuple[DiskSpec, ...]:
     return _specs(w, _check_in_scope(w, q))
 
 
+def _window(n: int, thresholds) -> int:
+    # Rays of a period-n code and a threshold t that agree on n + |t| symbols
+    # are equal, so this many symbols decide every comparison.
+    return n + max(len(t.pre) + len(t.per) for t in thresholds)
+
+
+def _ray_keys(code: str, p: int, window: int) -> tuple[int, int]:
+    """Keys of the forward and backward rays at position p, cut to window."""
+    rotation = code[p:] + code[:p]
+    reps = rotation * (window // len(code) + 1)
+    return _unimodal_key(reps[:window]), _unimodal_key(reps[::-1][:window])
+
+
+def _inside(first: int, principal: int, second: int, shifted: int) -> bool:
+    """Both ray keys strictly above their threshold keys.
+
+    A tie means the point lies on the family's boundary orbit itself.
+    """
+    if first == principal or second == shifted:
+        raise DomainError("point lies on the boundary orbit of the family")
+    return first > principal and second > shifted
+
+
 def in_disk(point: OrbitPoint, spec: DiskSpec) -> bool:
     """Whether an orbit point lies inside the disk.
 
-    Both comparisons are evaluated first; if either ray sits exactly on a
-    threshold the point belongs to the family boundary orbit itself and a
-    DomainError is raised.
+    A and B compare the point's backward ray with the principal threshold
+    and the forward ray of the next point with the shifted one; C and D
+    compare the forward ray and the backward ray of the previous point.  If
+    either ray sits exactly on a threshold the point belongs to the family
+    boundary orbit itself and a DomainError is raised.
     """
-    code, offset = point.code, point.offset
-    # the neighbour's index is reduced mod N so its ray hits the ray cache
+    code = _check_word(point.code, allow_empty=False)
+    n, p = len(code), point.offset
+    window = _window(n, (spec.principal, spec.shifted))
     if spec.name in ("A", "B"):
-        first = point.backward
-        second = forward_ray(code, (offset + 1) % len(code))
+        first = _ray_keys(code, p % n, window)[1]
+        second = _ray_keys(code, (p + 1) % n, window)[0]
     else:
-        first = point.forward
-        second = backward_ray(code, (offset - 1) % len(code))
-    side1 = unimodal_cmp(first, spec.principal)
-    side2 = unimodal_cmp(second, spec.shifted)
-    if side1 == EQ or side2 == EQ:
-        raise DomainError("point lies on the boundary orbit of the family")
-    return side1 == GT and side2 == GT
+        first = _ray_keys(code, p % n, window)[0]
+        second = _ray_keys(code, (p - 1) % n, window)[1]
+    return _inside(
+        first,
+        _unimodal_key(spec.principal.prefix(window)),
+        second,
+        _unimodal_key(spec.shifted.prefix(window)),
+    )
 
 
 def intersection_counts(
@@ -86,19 +115,27 @@ def intersection_counts(
 ) -> tuple[int, int, int, int]:
     """How many points of the orbit lie in each of the disks A, B, C, D.
 
-    A boundary orbit of the family, a rotation of some c_q x w y, has a
-    ray equal to a threshold, so in_disk refuses it.
+    The 2N ray keys and the 8 threshold keys are computed once, at one
+    window, and each point is tested against each disk by the rule of
+    :func:`in_disk`.  A boundary orbit of the family, a rotation of some
+    c_q x w y, has a ray equal to a threshold, so it is refused with a
+    DomainError.
     """
     specs = disk_specs(w, q)
     if not is_primitive(code):
         raise DomainError(f"imprimitive code: {code}")
-    counts = [0, 0, 0, 0]
-    for p in range(len(code)):
-        point = OrbitPoint(code, p)
-        for k, spec in enumerate(specs):
-            if in_disk(point, spec):
-                counts[k] += 1
-    return tuple(counts)
+    n = len(code)
+    thresholds = [t for spec in specs for t in (spec.principal, spec.shifted)]
+    window = _window(n, thresholds)
+    keys = [_unimodal_key(t.prefix(window)) for t in thresholds]
+    fwd, bwd = zip(*(_ray_keys(code, p, window) for p in range(n)))
+    fwd_next = fwd[1:] + fwd[:1]  # forward ray of the point to the right
+    bwd_prev = bwd[-1:] + bwd[:-1]  # backward ray of the point to the left
+    rays = ((bwd, fwd_next),) * 2 + ((fwd, bwd_prev),) * 2
+    return tuple(
+        sum(_inside(a, principal, b, shifted) for a, b in zip(first, second))
+        for (first, second), principal, shifted in zip(rays, keys[::2], keys[1::2])
+    )
 
 
 def forcing_oracle(code: str, w: str, q: Fraction) -> bool:

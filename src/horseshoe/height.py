@@ -32,7 +32,8 @@ HALF = Fraction(1, 2)
 _RUNS = re.compile("0+|1+")
 
 
-@lru_cache(maxsize=None)
+# One entry per q in lowest terms: an oracle_sweep benchmark pass asks about 350.
+@lru_cache(maxsize=4096)
 def _cq(m: int, n: int) -> str:
     # i-th symbol is 1 exactly when some multiple of n lies strictly
     # between (i-1)m and (i+1)m
@@ -188,7 +189,9 @@ def height_oracle(c: Seq, max_den: int = 64) -> Fraction:
     return result
 
 
-@lru_cache(maxsize=None)
+# One entry per decoration: a benchmark pass asks at most the 21 lone ones of
+# length <= 5.
+@lru_cache(maxsize=1024)
 def scope(w: str) -> Fraction:
     """The scope of a decoration w: the least height along the cycle 10w0."""
     _check_word(w)

@@ -88,7 +88,8 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
     return best
 
 
-@lru_cache(maxsize=None)
+# The window builders keep one entry per decoration, as scope does.
+@lru_cache(maxsize=1024)
 def _mu_windows(w: str) -> tuple[str, ...]:
     return tuple(
         flip_first(v) + x
@@ -97,7 +98,7 @@ def _mu_windows(w: str) -> tuple[str, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _nu_windows(w: str) -> tuple[str, ...]:
     return tuple(
         x + flip_last(v)
@@ -106,7 +107,7 @@ def _nu_windows(w: str) -> tuple[str, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _lam_windows(w: str) -> tuple[str, ...]:
     return tuple(x + w + y for x in "01" for y in "01")
 

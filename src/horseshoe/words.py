@@ -12,7 +12,6 @@ lexicographic order, so words of one length compare by an integer key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 LT, EQ, GT = -1, 0, 1
 
@@ -166,11 +165,6 @@ def unimodal_cmp(s: Seq, t: Seq) -> int:
     return (a > b) - (a < b)
 
 
-# One entry per (code, position): room for every ray of a code of period 1000.
-_RAY_CACHE = 1024
-
-
-@lru_cache(maxsize=_RAY_CACHE)
 def forward_ray(code: str, i: int) -> Seq:
     """The periodic sequence read rightward from position i of the cyclic code."""
     _check_word(code, allow_empty=False)
@@ -178,7 +172,6 @@ def forward_ray(code: str, i: int) -> Seq:
     return Seq("", code[i:] + code[:i])
 
 
-@lru_cache(maxsize=_RAY_CACHE)
 def backward_ray(code: str, i: int) -> Seq:
     """The periodic sequence read leftward starting at position i−1 of the cyclic code."""
     _check_word(code, allow_empty=False)
@@ -192,7 +185,7 @@ class OrbitPoint:
 
     The point's biinfinite itinerary is … b₂ b₁ b₀ · f₀ f₁ f₂ … where the
     forward ray f starts at the given offset and the backward ray b starts
-    one position to its left.  Both rays come from the cached builders
+    one position to its left.  Both rays are built on each read by
     :func:`forward_ray` and :func:`backward_ray`.
     """
 

@@ -34,9 +34,14 @@ def test_traced_names_resolve():
 
 
 def test_tracer_counts_disk_calls():
-    """One oracle verdict on a period-8 code tests each point against each disk once."""
+    """One oracle verdict is one intersection_counts call on integer keys.
+
+    It goes through neither the per-point in_disk nor unimodal_cmp; a
+    direct in_disk call is still traced once.
+    """
     importlib.import_module("horseshoe.cli")  # install looks up cli.main too
     disks = importlib.import_module("horseshoe.disks")
+    words = importlib.import_module("horseshoe.words")
     tracer = _tracer()
     trace = tracer.Tracer()
     trace.install()
@@ -45,7 +50,17 @@ def test_tracer_counts_disk_calls():
     finally:
         trace.uninstall()
     assert trace.stats["disks.intersection_counts"][0] == 1
-    assert trace.stats["disks.in_disk"][0] == 4 * 8
+    assert trace.stats["disks.in_disk"][0] == 0
+    assert trace.stats["words.unimodal_cmp"][0] == 0
+    assert tracer.count_wrappers() == 0
+    spec = disks.disk_specs("11", Fraction(9, 25))[0]
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        disks.in_disk(words.OrbitPoint("10010110", 0), spec)
+    finally:
+        trace.uninstall()
+    assert trace.stats["disks.in_disk"][0] == 1
     assert tracer.count_wrappers() == 0
 
 

@@ -11,7 +11,16 @@ from horseshoe.disks import (
     intersection_counts,
 )
 from horseshoe.height import cq_word, scope
-from horseshoe.words import OrbitPoint, canonical_code, is_primitive
+from horseshoe.survey import necklaces
+from horseshoe.words import (
+    EQ,
+    GT,
+    OrbitPoint,
+    Seq,
+    canonical_code,
+    is_primitive,
+    unimodal_cmp,
+)
 
 F = Fraction
 
@@ -102,3 +111,56 @@ def test_even_containments_spot():
                         assert in_disk(pt, a)
                 except DomainError:
                     continue
+
+
+def _reference_counts(code, w, q):
+    """intersection_counts point by point: fresh Seq rays, one unimodal_cmp each."""
+    specs = disk_specs(w, q)
+    if not is_primitive(code):
+        raise DomainError(f"imprimitive code: {code}")
+    n = len(code)
+
+    def forward(i):
+        i %= n
+        return Seq.periodic(code[i:] + code[:i])
+
+    def backward(i):
+        i %= n
+        return Seq.periodic((code[i:] + code[:i])[::-1])
+
+    counts = [0, 0, 0, 0]
+    for p in range(n):
+        for k, spec in enumerate(specs):
+            if spec.name in ("A", "B"):
+                first, second = backward(p), forward(p + 1)
+            else:
+                first, second = forward(p), backward(p - 1)
+            side1 = unimodal_cmp(first, spec.principal)
+            side2 = unimodal_cmp(second, spec.shifted)
+            if side1 == EQ or side2 == EQ:
+                raise DomainError("point lies on the boundary orbit of the family")
+            counts[k] += side1 == GT and side2 == GT
+    return tuple(counts)
+
+
+def _outcome(counts, code, w, q):
+    try:
+        return counts(code, w, q)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_counts_match_per_point_reference():
+    # every necklace with n <= 8, every |w| <= 2, every q < scope(w) with den <= 10
+    qs = {F(m, n) for n in range(2, 11) for m in range(1, n // 2 + 1)}
+    words = ["".join(t) for k in range(3) for t in product("01", repeat=k)]
+    cases = boundary = 0
+    for n in range(1, 9):
+        for code in necklaces(n):
+            for w in words:
+                for q in (q for q in qs if q < scope(w)):
+                    got = _outcome(intersection_counts, code, w, q)
+                    assert got == _outcome(_reference_counts, code, w, q), (code, w, q)
+                    cases += 1
+                    boundary += isinstance(got, str)
+    assert (cases, boundary) == (4899, 20)

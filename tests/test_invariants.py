@@ -143,8 +143,6 @@ def test_rays_built_once_per_position(monkeypatch):
     decorations = [d for d in _DEFAULT_DECORATIONS if d != STAR]
     for w in decorations:
         scope(w)
-    forward_ray.cache_clear()
-    backward_ray.cache_clear()
     invariants._ray_heights.cache_clear()
     built = []
     heights = []
@@ -169,7 +167,7 @@ def test_rays_built_once_per_position(monkeypatch):
     assert 0 < len(heights) <= 2 * len(code)
     monkeypatch.undo()
     for build in (forward_ray, backward_ray):
-        for bad in ("", "102"):
+        for bad in ("", "102", ["1"]):
             for _ in range(2):
                 with pytest.raises(DomainError):
                     build(bad, 0)
