@@ -9,7 +9,10 @@ c_q of length n+1 such that (c_q 0)^inf has height exactly q.
 Two independent routes to the height are provided: :func:`height` runs the
 run-length scanning algorithm, and :func:`height_oracle` binary-searches
 the Stern-Brocot tree using only unimodal comparisons against the words
-c_q.  They are checked against each other in the test suite.
+c_q.  They are checked against each other in the test suite.  Besides a
+Seq, :func:`height` takes a bare word w meaning w^inf, checked only when
+the cache misses, so the rays of a periodic orbit are passed as plain
+rotations of its code.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ from .words import (
     DomainError,
     Seq,
     _check_word,
-    forward_ray,
     unimodal_cmp,
 )
 
@@ -70,8 +72,11 @@ def _zero_runs(word: str) -> list[int]:
 
 
 @lru_cache(maxsize=1 << 17)
-def height(c: Seq) -> Fraction:
-    """The height of the sequence c.
+def height(c: Seq | str) -> Fraction:
+    """The height of the sequence c, given as a Seq or as a word w read as w^inf.
+
+    A word must be a nonempty binary string; it is checked on a cache miss
+    only, so the rays of periodic orbits can be passed as plain rotations.
 
     Scans the runs of c, maintaining a shrinking rational interval [X, Y]
     of heights compatible with what has been read so far.  A finite window
@@ -79,11 +84,16 @@ def height(c: Seq) -> Fraction:
     the scan is still alive at the end of the window the height is the
     median of X, Y and the average 1-density of the repeating part.
     """
-    if c[0] == "0" or c[1] == "1":
+    if isinstance(c, str):
+        pre, per = "", _check_word(c, allow_empty=False)
+    else:
+        pre, per = c.pre, c.per
+    n = len(pre) + 4 * len(per) + 8
+    window = (pre + per * -(-(n - len(pre)) // len(per)))[:n]
+    if window[0] == "0" or window[1] == "1":
         return HALF
-    window = c.prefix(len(c.pre) + 4 * len(c.per) + 8)
     end = len(window)
-    tail_infinite = c.per in ("0", "1")
+    tail_infinite = per in ("0", "1")
     # The one run reaching the window's end is the infinite tail when
     # tail_infinite holds, and otherwise a run the window may have cut short.
     runs = _RUNS.finditer(window, 1)  # window[0] is the single leading 1
@@ -134,8 +144,8 @@ def height(c: Seq) -> Fraction:
         pending = run - 2
 
     # window exhausted: pin the height by the periodic average
-    an = c.per.count("1")
-    ad = 2 * len(c.per)
+    an = per.count("1")
+    ad = 2 * len(per)
     if an * xd <= xn * ad:
         return Fraction(xn, xd)
     if an * yd >= yn * ad:
@@ -196,7 +206,7 @@ def scope(w: str) -> Fraction:
     """The scope of a decoration w: the least height along the cycle 10w0."""
     _check_word(w)
     code = "10" + w + "0"
-    return min(height(forward_ray(code, i)) for i in range(len(code)))
+    return min(height(code[i:] + code[:i]) for i in range(len(code)))
 
 
 def _check_in_scope(w: str, q: Fraction) -> Fraction:

@@ -4,6 +4,10 @@ For a decoration word w and an orbit code R, the invariant r^w(R) is a
 rational in (0, scope(w)] computed from heights of rays based at cyclic
 occurrences of certain windows derived from w.  The orbit R forces the
 w-decorated family member at parameter q exactly when q > r^w(R).
+
+The rays of R are rotations of R and of its reverse, passed to
+:func:`~horseshoe.height.height` as plain words, so its cache is the one
+store of ray heights.
 """
 from __future__ import annotations
 
@@ -15,12 +19,10 @@ from .words import (
     DomainError,
     _check_word,
     append_even,
-    backward_ray,
     even_final_subwords,
     even_initial_subwords,
     flip_first,
     flip_last,
-    forward_ray,
     prepend_even,
 )
 
@@ -33,19 +35,6 @@ NOT_FORCED = "NOT-FORCED"
 AT_THRESHOLD = "THRESHOLD"
 
 
-# One entry per code: decinv_table reads a row's few members in turn and
-# r_sequence one code i_max + 1 times, so a small bound keeps every reuse.
-@lru_cache(maxsize=256)
-def _ray_heights(code: str) -> tuple[list, list]:
-    """Height slots of one code's forward and backward rays, by position.
-
-    Every slot starts empty and :func:`r_dir` fills it on first read, so
-    the invariants of one orbit share its 2N ray heights.
-    """
-    _check_word(code, allow_empty=False)
-    return [None] * len(code), [None] * len(code)
-
-
 def r_dir(code: str, windows, direction: str) -> Fraction:
     """Least ray height over all cyclic occurrences of the given windows.
 
@@ -53,10 +42,14 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
     forward ray leaving its right end and a backward ray leaving its left
     end; "both" takes the larger of the two heights before minimizing.
     """
-    fwd, bwd = _ray_heights(code)
+    _check_word(code, allow_empty=False)
     if direction not in (FORWARD, BACKWARD, BOTH):
         raise DomainError(f"unknown direction: {direction!r}")
     N = len(code)
+    # the forward ray at i is ring[i : i + N]; the backward ray at p reads
+    # leftward from p - 1, which is rev[N - p : 2N - p]
+    ring = code * 2
+    rev = ring[::-1]
     # best = bn/bd; heights are compared by cross-multiplying
     best, bn, bd = HALF, 1, 2
     for v in windows:
@@ -66,20 +59,14 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
         p = doubled.find(v, 0, end)
         while p >= 0:
             if direction == BACKWARD:
-                q = bwd[p]
-                if q is None:
-                    q = bwd[p] = height(backward_ray(code, p))
+                q = height(rev[N - p : 2 * N - p])
             else:
                 i = (p + L) % N
-                q = fwd[i]
-                if q is None:
-                    q = fwd[i] = height(forward_ray(code, i))
+                q = height(ring[i : i + N])
                 # the backward ray can only raise q, so read it only when
                 # q would beat the best so far
                 if direction == BOTH and q.numerator * bd < bn * q.denominator:
-                    b = bwd[p]
-                    if b is None:
-                        b = bwd[p] = height(backward_ray(code, p))
+                    b = height(rev[N - p : 2 * N - p])
                     if b.numerator * q.denominator > q.numerator * b.denominator:
                         q = b
             if q.numerator * bd < bn * q.denominator:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .height import HALF, _check_in_scope, cq_word, finite_order_word, height
 from .words import (
     DomainError,
-    Seq,
     _check_word,
     canonical_code,
     flip_last,
@@ -51,7 +50,7 @@ def _canonical_height(code: str) -> Fraction:
     """orbit_height of a code already in canonical form."""
     if is_paired(code) and code.endswith("1"):
         code = flip_last(code)
-    return height(Seq.periodic(code))
+    return height(code)
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,6 @@ def universality_sample(
             word = "".join(rng.choice("01") for _ in range(n))
             if is_primitive(word):
                 break
-        if r_w(w, canonical_code(word)) < q:
+        if r_w(w, word) < q:
             hits += 1
     return Fraction(hits, k)

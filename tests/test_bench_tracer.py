@@ -94,14 +94,13 @@ def test_tracer_counts_root_isolations():
 def test_tracer_counts_heights_per_orbit():
     """A cold period-10 table asks each orbit's ray heights at most once each."""
     importlib.import_module("horseshoe.cli")
-    invariants = importlib.import_module("horseshoe.invariants")
     survey = importlib.import_module("horseshoe.survey")
-    scope = importlib.import_module("horseshoe.height").scope
+    height = importlib.import_module("horseshoe.height")
     n = 10
     codes = survey.necklaces(n)
     decorations = [w for w in survey._DEFAULT_DECORATIONS if w != survey.STAR]
-    invariants._ray_heights.cache_clear()
-    scope.cache_clear()
+    height.height.cache_clear()
+    height.scope.cache_clear()
     tracer = _tracer()
     trace = tracer.Tracer()
     trace.install()
@@ -113,6 +112,6 @@ def test_tracer_counts_heights_per_orbit():
     # 2N ray heights per orbit, one orbit height per classify, and the
     # rays of each decoration's scope cycle 10w0
     scope_rays = sum(len("10" + w + "0") for w in decorations)
-    calls = trace.report()["height.height"]["calls"]
-    assert calls <= len(codes) * (2 * n + 1) + scope_rays
+    misses = trace.report()["height.height"]["misses"]
+    assert misses <= len(codes) * (2 * n + 1) + scope_rays
     assert tracer.count_wrappers() == 0

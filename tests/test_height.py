@@ -137,6 +137,18 @@ def test_height_of_cq_sequences():
         assert height(Seq.periodic(finite_order_word(q) + "0")) == q
 
 
+def test_height_of_plain_word():
+    # a word w means w^inf, imprimitive and constant words included
+    for n in range(1, 13):
+        for k in range(1 << n):
+            w = format(k, f"0{n}b")
+            assert height(w) == height(Seq.periodic(w)), w
+    for bad in ("", "102"):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                height(bad)
+
+
 def test_height_oracle_matches_on_goldens():
     for text, want in HEIGHTS:
         c = Seq.parse(text)

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-import horseshoe.invariants as invariants
 from horseshoe.families import lone_catalog
 from horseshoe.invariants import (
     AT_THRESHOLD,
@@ -143,39 +142,43 @@ def test_rays_built_once_per_position(monkeypatch):
     decorations = [d for d in _DEFAULT_DECORATIONS if d != STAR]
     for w in decorations:
         scope(w)
-    invariants._ray_heights.cache_clear()
+    height.cache_clear()
     built = []
-    heights = []
     post_init = Seq.__post_init__
 
     def counted(seq):
         built.append(1)
         post_init(seq)
 
-    def counted_height(seq):
-        heights.append(1)
-        return height(seq)
-
     monkeypatch.setattr(Seq, "__post_init__", counted)
-    monkeypatch.setattr(invariants, "height", counted_height)
     r_star(code)
     for w in decorations:
         r_w(w, code)
-    # one forward and one backward ray per position, however many windows,
-    # and each of their heights is asked for once
-    assert len(built) <= 2 * len(code)
-    assert 0 < len(heights) <= 2 * len(code)
+    # rays reach height as plain words, and the height of each of the 2N
+    # rays is computed once however many windows read it
+    assert built == []
+    assert 0 < height.cache_info().misses <= 2 * len(code)
     monkeypatch.undo()
     for build in (forward_ray, backward_ray):
         for bad in ("", "102", ["1"]):
             for _ in range(2):
                 with pytest.raises(DomainError):
                     build(bad, 0)
-    # the per-code height memo caches no exception either
+    # the height cache stores no exception either
     for bad in ("", "102"):
         for _ in range(2):
             with pytest.raises(DomainError):
                 r_dir(bad, ("0", "1"), BOTH)
+
+
+def test_invariants_are_rotation_invariant():
+    decorations = lone_catalog(5)
+    for n in range(1, 10):
+        for code in necklaces(n):
+            want = (r_star(code), [r_w(w, code) for w in decorations])
+            for k in range(1, n):
+                rot = code[k:] + code[:k]
+                assert (r_star(rot), [r_w(w, rot) for w in decorations]) == want, rot
 
 
 def _reference_r_dir(code, windows, direction):
