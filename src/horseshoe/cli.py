@@ -24,6 +24,7 @@ from .survey import (
     decinv_table,
     universality_sample,
     universality_scan,
+    wilson_interval,
 )
 from .words import DomainError, Seq
 
@@ -198,17 +199,19 @@ def _cmd_scan(args) -> int:
         p = universality_sample(args.w, args.q, args.n, args.sample, args.seed)
     else:
         p = universality_scan(args.w, args.q, args.n)
-    return _emit(
-        args,
-        [f"{p} ~ {float(p):.4f}"],
-        {
-            "w": _show_word(args.w),
-            "q": str(args.q),
-            "n": args.n,
-            "p": str(p),
-            "approx": float(p),
-        },
-    )
+    lines = [f"{p} ~ {float(p):.4f}"]
+    payload = {
+        "w": _show_word(args.w),
+        "q": str(args.q),
+        "n": args.n,
+        "p": str(p),
+        "approx": float(p),
+    }
+    if args.sample:
+        lo, hi = wilson_interval(p, args.sample)
+        lines.append(f"z=3 Wilson interval [{lo:.4f}, {hi:.4f}]")
+        payload["interval"] = [lo, hi]
+    return _emit(args, lines, payload)
 
 
 def _cmd_lone(args) -> int:

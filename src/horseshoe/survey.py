@@ -7,16 +7,28 @@ either exactly or by orbit-uniform sampling.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .height import HALF, _check_in_scope, cq_word, finite_order_word, scope
-from .invariants import r_star, r_w
+from .invariants import _Rays, r_w
 from .orbits import DECORATED, FINITE_ORDER, NBT, classify
 from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 
 STAR = "*"
+# Exact tables and scans enumerate about 2^n / n necklaces (necklaces(20)
+# takes seconds), so periods above this are refused; sample them instead.
+MAX_EXACT_PERIOD = 24
+
+
+def _check_exact_period(n: int) -> None:
+    if n > MAX_EXACT_PERIOD:
+        raise DomainError(
+            f"exact enumeration is limited to period {MAX_EXACT_PERIOD}, got {n};"
+            " estimate larger periods with scan --sample"
+        )
 
 
 def necklaces(n: int) -> list[str]:
@@ -86,9 +98,11 @@ def decinv_table(
     invariants are required to agree.  Rows are ordered by the unimodal
     order of each row's least member, and the table carries a leading
     row of scopes ("*" marks the star invariant, whose scope is 1/2).
+    Periods above MAX_EXACT_PERIOD raise DomainError.
     """
     if period < 3:
         raise DomainError(f"table requires period at least 3, got {period}")
+    _check_exact_period(period)
     decorations = tuple(decorations)
     groups: dict[tuple, list] = {}
     for code in necklaces(period):
@@ -99,9 +113,10 @@ def decinv_table(
     rows = []
     for (kind, q, w), infos in groups.items():
         members = sorted((info.code for info in infos), key=_unimodal_key)
+        evaluators = [_Rays(m) for m in members]
         values = []
         for d in decorations:
-            vals = [r_star(m) if d == STAR else r_w(d, m) for m in members]
+            vals = [e.r_star() if d == STAR else e.r_w(d) for e in evaluators]
             if any(v != vals[0] for v in vals):
                 raise RuntimeError(
                     f"group members disagree on {d!r}: {members} -> {vals}"
@@ -115,8 +130,12 @@ def decinv_table(
 
 
 def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
-    """The exact fraction of period-n orbits whose invariant r^w is below q."""
+    """The exact fraction of period-n orbits whose invariant r^w is below q.
+
+    Periods above MAX_EXACT_PERIOD raise DomainError.
+    """
     q = _check_in_scope(w, q)
+    _check_exact_period(n)
     codes = necklaces(n)
     hits = sum(1 for code in codes if r_w(w, code) < q)
     return Fraction(hits, len(codes))
@@ -139,3 +158,12 @@ def universality_sample(
         if r_w(w, word) < q:
             hits += 1
     return Fraction(hits, k)
+
+
+def wilson_interval(p, k: int, z: float = 3.0) -> tuple[float, float]:
+    """The Wilson score interval (lo, hi) for a share p observed in k trials."""
+    p = float(p)
+    centre = p + z * z / (2 * k)
+    half = z * math.sqrt(p * (1 - p) / k + z * z / (4 * k * k))
+    scale = 1 + z * z / k
+    return (centre - half) / scale, (centre + half) / scale

@@ -5,7 +5,6 @@ budget, so a bare ``pytest -v tests/test_acceptance.py`` reads as a ten-line
 scorecard.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -59,6 +58,7 @@ from horseshoe import (
 )
 from horseshoe.cli import main
 from horseshoe.height import _cq
+from horseshoe.survey import wilson_interval
 from test_entropy import sturm_count
 
 F = Fraction
@@ -538,15 +538,6 @@ def _ac9_necklace_counts():
         assert len(necklaces(n)) == count
 
 
-def _wilson(p, k, z=3.0):
-    """The Wilson score interval (lo, hi) for a share p observed in k trials."""
-    p = float(p)
-    centre = p + z * z / (2 * k)
-    half = z * math.sqrt(p * (1 - p) / k + z * z / (4 * k * k))
-    scale = 1 + z * z / k
-    return (centre - half) / scale, (centre + half) / scale
-
-
 def test_ac10_universality_fraction():
     """The share p_n of period-n orbits with r^1 < 1/3 grows past 0.9.
 
@@ -570,8 +561,8 @@ def test_ac10_universality_fraction():
     p16 = universality_sample("1", q, 16, 2000, seed)
     sampled = {n: universality_sample("1", q, n, 300, seed) for n in (32, 64, 128, 256)}
     elapsed = time.perf_counter() - start
-    lo16, hi16 = _wilson(p16, 2000)
-    lo256, hi256 = _wilson(sampled[256], 300)
+    lo16, hi16 = wilson_interval(p16, 2000)
+    lo256, hi256 = wilson_interval(sampled[256], 300)
     report = (
         f"exact p_n for n=10,12,14,16: {', '.join(str(p) for p in exact.values())}; "
         f"sampled p_16 = {float(p16):.4f}, interval [{lo16:.4f}, {hi16:.4f}]; "

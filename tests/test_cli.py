@@ -181,6 +181,21 @@ def test_scan_sampled(capsys):
     code, out, _ = run(capsys, "scan", "1", "1/3", "40", "--sample", "50", "--seed", "3")
     assert code == 0
     assert "~" in out
+    # the share comes with its z = 3 Wilson interval, in text and in JSON
+    share, interval = out.splitlines()
+    p = Fraction(share.split()[0])
+    assert interval.startswith("z=3 Wilson interval [")
+    lo, hi = (float(x) for x in interval.split("[")[1].rstrip("]").split(", "))
+    assert lo < float(p) < hi
+    code, out, _ = run(
+        capsys, "scan", "1", "1/3", "40", "--sample", "50", "--seed", "3", "--format", "json"
+    )
+    payload = json.loads(out)
+    assert Fraction(payload["p"]) == p
+    assert [round(x, 4) for x in payload["interval"]] == [lo, hi]
+    # an exact scan has no interval
+    code, out, _ = run(capsys, "scan", "1", "1/3", "8", "--format", "json")
+    assert "interval" not in json.loads(out)
 
 
 def test_lone(capsys):

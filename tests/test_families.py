@@ -103,6 +103,14 @@ def test_r_sequence():
         assert rs[1] == rs[2] == rs[3] == rs[4]
 
 
+def test_r_sequence_matches_one_invariant_per_call():
+    """One evaluator per code gives what one r_w call per decoration gives."""
+    for n in range(1, 13):
+        for code in necklaces(n):
+            want = [r_w(ones_decoration(i), code) for i in range(5)]
+            assert r_sequence(code, 4) == want, code
+
+
 def test_pa_test():
     assert pa_test("100111111") == "Certified"
     assert pa_test("10") == "Unknown"

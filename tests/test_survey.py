@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from horseshoe import survey
+from horseshoe.cli import main
+from horseshoe.height import height, scope
+from horseshoe.invariants import r_star, r_w
 from horseshoe.survey import (
+    _DEFAULT_DECORATIONS,
+    MAX_EXACT_PERIOD,
     STAR,
     DomainError,
     decinv_table,
@@ -126,3 +132,50 @@ def test_universality_sample_deterministic():
     assert a == b
     assert 0 <= a <= 1
     assert a.denominator <= 200
+
+
+def test_table_values_match_one_invariant_per_call():
+    """The table's shared evaluator per member agrees with r_star and r_w."""
+    for n in range(3, 13):
+        table = decinv_table(n)
+        assert table.decorations == _DEFAULT_DECORATIONS
+        for row in table.rows:
+            for member in row.members:
+                want = [
+                    r_star(member) if d == STAR else r_w(d, member)
+                    for d in table.decorations
+                ]
+                assert list(row.values) == want, (n, member)
+
+
+def test_exact_enumeration_refused_above_limit(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError(f"necklaces({n}) was called")
+
+    monkeypatch.setattr(survey, "necklaces", refuse)
+    n = MAX_EXACT_PERIOD + 1
+    with pytest.raises(DomainError, match="--sample"):
+        decinv_table(n)
+    with pytest.raises(DomainError, match="--sample"):
+        universality_scan("1", F(1, 3), n)
+    for argv in (["table", "--period", str(n)], ["scan", "1", "1/3", str(n)]):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "scan --sample" in err
+    with pytest.raises(AssertionError, match="was called"):
+        universality_scan("1", F(1, 3), MAX_EXACT_PERIOD)
+
+
+def test_sample_reads_rays_lazily():
+    """The sampled scan reads no more rays than one lazy pass per code.
+
+    Under "both" a backward ray is read only when its forward ray would
+    beat the running minimum of the whole r_dir call.  With that minimum
+    this call makes 9,923 cold height misses; a minimum kept per window
+    instead makes 10,005.
+    """
+    height.cache_clear()
+    scope.cache_clear()
+    universality_sample("1", F(2, 5), 64, 200, 1)
+    assert height.cache_info().misses <= 9923
