@@ -16,7 +16,7 @@ from .disks import forcing_oracle, intersection_counts
 from .entropy import entropy_certificate, root_bracket
 from .families import lone_catalog, pa_test, r_sequence, star_decoration
 from .height import cq_word, height, scope
-from .invariants import FORCED, NOT_FORCED, forces, lam, mu, nu, r_star, r_w
+from .invariants import FORCED, NOT_FORCED, _Rays, _forces, r_star
 from .orbits import classify
 from .survey import (
     _DEFAULT_DECORATIONS,
@@ -99,8 +99,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_rinv(args) -> int:
-    m, n_, l_ = mu(args.w, args.code), nu(args.w, args.code), lam(args.w, args.code)
-    r = r_w(args.w, args.code)
+    rays = _Rays(args.code)
+    m, n_, l_, r = rays.mu(args.w), rays.nu(args.w), rays.lam(args.w), rays.r_w(args.w)
     return _emit(
         args,
         [f"mu={m} nu={n_} lambda={l_} r={r}"],
@@ -114,8 +114,7 @@ def _cmd_rstar(args) -> int:
 
 
 def _cmd_force(args) -> int:
-    verdict = forces(args.code, args.w, args.q)
-    r = r_w(args.w, args.code)
+    r, verdict = _forces(args.code, args.w, args.q)
     return _emit(
         args,
         [f"r={r} {verdict}"],

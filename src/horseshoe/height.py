@@ -3,8 +3,10 @@
 The height of a one-sided sequence is a rational in [0, 1/2] that is
 non-increasing with respect to the unimodal order: the maximal sequence
 10^inf has height 0 and every sequence that does not begin 10 has height
-1/2.  For each rational q = m/n in (0, 1/2] there is a palindromic word
-c_q of length n+1 such that (c_q 0)^inf has height exactly q.
+1/2.  The decoration invariants rely on this order, reading each least
+height as the height of a unimodal-greatest ray.  For each rational
+q = m/n in (0, 1/2] there is a palindromic word c_q of length n+1 such
+that (c_q 0)^inf has height exactly q.
 
 Two independent routes to the height are provided: :func:`height` runs the
 run-length scanning algorithm, and :func:`height_oracle` binary-searches

@@ -5,23 +5,24 @@ rational in (0, scope(w)] computed from heights of rays based at cyclic
 occurrences of certain windows derived from w.  The orbit R forces the
 w-decorated family member at parameter q exactly when q > r^w(R).
 
-The rays of R are rotations of R and of its reverse, passed to
-:func:`~horseshoe.height.height` as plain words.  All invariants of one
-code are read from one private per-orbit evaluator, which checks the code
-once, finds each window's occurrences once and reads each ray's height at
-most once.  Tables and r-sequences share one evaluator per code; the public
-functions build one per call.  Nothing outlives the evaluator, so
-height's cache stays the one store of ray heights across calls.
+The rays of R are rotations of R and of its reverse.  Height is
+non-increasing in the unimodal order, so the least height over a set of
+rays is the height of its unimodal-greatest ray: each invariant compares
+integer unimodal keys and then makes one :func:`~horseshoe.height.height`
+call.  Tables, r-sequences and the CLI read all invariants of a code from
+one private evaluator; the public functions build one per call.  Nothing
+outlives it, so height's cache stays the one store of ray heights.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .height import HALF, _check_in_scope, height, scope
+from .height import _check_in_scope, height, scope
 from .words import (
     DomainError,
     _check_word,
+    _unimodal_key,
     append_even,
     even_final_subwords,
     even_initial_subwords,
@@ -39,26 +40,39 @@ NOT_FORCED = "NOT-FORCED"
 AT_THRESHOLD = "THRESHOLD"
 
 
+def _rotation_keys(ring: str) -> list:
+    """The unimodal keys of ring[i : i + N], i < N = |ring| / 2, as slices of one key.
+
+    Bit j of ring's key is the parity of ring[:j + 1], so a slice needs
+    complementing when ring[:i] holds an odd number of 1s.
+    """
+    N = len(ring) // 2
+    K, mask = _unimodal_key(ring), (1 << N) - 1
+    flip = (0, mask)
+    return [K >> (N - i) & mask ^ flip[K >> (2 * N - i) & 1] for i in range(N)]
+
+
 class _Rays:
     """The rays of one orbit code, for evaluating its invariants together.
 
-    The code is checked once and each window's occurrences are found once.
-    Slot i of the forward (backward) list holds the height of the ray that
-    leaves position i rightward (leftward from i - 1) as a triple
-    (numerator, denominator, Fraction), read from height on first use.
+    Height is non-increasing in the unimodal order, so an invariant is the
+    height of the unimodal-greatest ray it reads; under "both" each
+    occurrence offers the lesser of its two rays.  Rays are kept as N-bit
+    unimodal keys, which order distinct rays of period N exactly because
+    they differ within N symbols, and a key spells its ray back as the Gray
+    code key ^ key >> 1, so only the winning ray reaches height.
     """
 
-    __slots__ = ("code", "_ring", "_rev", "_fwd", "_bwd", "_occ")
+    __slots__ = ("code", "_fwd", "_bwd", "_occ")
 
     def __init__(self, code: str) -> None:
         _check_word(code, allow_empty=False)
         self.code = code
-        # the forward ray at i is ring[i : i + N]; the backward ray at p
-        # reads leftward from p - 1, which is rev[N - p : 2N - p]
-        self._ring = code * 2
-        self._rev = self._ring[::-1]
-        self._fwd = [None] * len(code)
-        self._bwd = [None] * len(code)
+        # the forward ray at i reads ring from i; the backward ray at p reads
+        # leftward from p - 1, which is the reverse of ring from N - p
+        ring = code * 2
+        self._fwd = _rotation_keys(ring)
+        self._bwd = _rotation_keys(ring[::-1])
         self._occ = {}
 
     def _occurrences(self, v: str) -> list:
@@ -74,53 +88,46 @@ class _Rays:
             p = doubled.find(v, p + 1, end)
         return occ
 
-    def least(self, windows, direction: str) -> tuple:
-        """r_dir as a (numerator, denominator, Fraction) triple."""
-        fwd, bwd, occ = self._fwd, self._bwd, self._occ
-        ring, rev, N = self._ring, self._rev, len(self.code)
-        # best = bn/bd; heights are compared by cross-multiplying
-        best, bn, bd = (1, 2, HALF), 1, 2
+    def greatest(self, windows, direction: str) -> int:
+        """The key of the unimodal-greatest ray read, or 0 (0^N, height 1/2) if none."""
+        fwd, bwd, occ, N = self._fwd, self._bwd, self._occ, len(self.code)
+        best = 0
         for v in windows:
             L = len(v)
             for p in occ[v] if v in occ else self._occurrences(v):
+                # the backward ray at p is rotation (N - p) mod N of the reverse
                 if direction == BACKWARD:
-                    h = bwd[p]
-                    if h is None:
-                        q = height(rev[N - p : 2 * N - p])
-                        h = bwd[p] = (q.numerator, q.denominator, q)
+                    k = bwd[-p]
                 else:
-                    i = (p + L) % N
-                    h = fwd[i]
-                    if h is None:
-                        q = height(ring[i : i + N])
-                        h = fwd[i] = (q.numerator, q.denominator, q)
-                    # the backward ray can only raise h, so read it only
-                    # when h would beat the best so far
-                    if direction == BOTH and h[0] * bd < bn * h[1]:
-                        b = bwd[p]
-                        if b is None:
-                            q = height(rev[N - p : 2 * N - p])
-                            b = bwd[p] = (q.numerator, q.denominator, q)
-                        if b[0] * h[1] > h[0] * b[1]:
-                            h = b
-                if h[0] * bd < bn * h[1]:
-                    best = h
-                    bn, bd = h[0], h[1]
+                    k = fwd[(p + L) % N]
+                    if direction == BOTH and bwd[-p] < k:
+                        k = bwd[-p]
+                if k > best:
+                    best = k
         return best
 
+    def height(self, key: int) -> Fraction:
+        """The height of the ray with this key."""
+        return height(format(key ^ key >> 1, f"0{len(self.code)}b"))
+
+    def mu(self, w: str) -> Fraction:
+        return min(scope(w), self.height(self.greatest(_mu_windows(w), FORWARD)))
+
+    def nu(self, w: str) -> Fraction:
+        return min(scope(w), self.height(self.greatest(_nu_windows(w), BACKWARD)))
+
+    def lam(self, w: str) -> Fraction:
+        return min(scope(w), self.height(self.greatest(_lam_windows(w), BOTH)))
+
     def r_w(self, w: str) -> Fraction:
-        s = scope(w)
-        lam_ = self.least(_lam_windows(w), BOTH)
-        mu_ = self.least(_mu_windows(w), FORWARD)
-        nu_ = self.least(_nu_windows(w), BACKWARD)
-        if mu_[0] * nu_[1] < nu_[0] * mu_[1]:
-            mu_ = nu_  # now max(mu, nu)
-        if mu_[0] * lam_[1] < lam_[0] * mu_[1]:
-            lam_ = mu_  # now min(lam, max(mu, nu))
-        return s if s.numerator * lam_[1] <= lam_[0] * s.denominator else lam_[2]
+        # min(lam, max(mu, nu)) over heights is max(lam, min(mu, nu)) over keys
+        lam_ = self.greatest(_lam_windows(w), BOTH)
+        mu_ = self.greatest(_mu_windows(w), FORWARD)
+        nu_ = self.greatest(_nu_windows(w), BACKWARD)
+        return min(scope(w), self.height(max(lam_, min(mu_, nu_))))
 
     def r_star(self) -> Fraction:
-        return self.least(("0", "1"), BOTH)[2]
+        return self.height(self.greatest(("0", "1"), BOTH))
 
 
 def r_dir(code: str, windows, direction: str) -> Fraction:
@@ -133,7 +140,7 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
     rays = _Rays(code)
     if direction not in (FORWARD, BACKWARD, BOTH):
         raise DomainError(f"unknown direction: {direction!r}")
-    return rays.least(windows, direction)[2]
+    return rays.height(rays.greatest(windows, direction))
 
 
 # The window builders keep one entry per decoration, as scope does.
@@ -162,17 +169,17 @@ def _lam_windows(w: str) -> tuple[str, ...]:
 
 def mu(w: str, code: str) -> Fraction:
     """Forward-ray invariant over windows built from even suffixes of w."""
-    return min(scope(w), _Rays(code).least(_mu_windows(w), FORWARD)[2])
+    return _Rays(code).mu(w)
 
 
 def nu(w: str, code: str) -> Fraction:
     """Backward-ray invariant over windows built from even prefixes of w."""
-    return min(scope(w), _Rays(code).least(_nu_windows(w), BACKWARD)[2])
+    return _Rays(code).nu(w)
 
 
 def lam(w: str, code: str) -> Fraction:
     """Two-sided invariant over the windows x w y."""
-    return min(scope(w), _Rays(code).least(_lam_windows(w), BOTH)[2])
+    return _Rays(code).lam(w)
 
 
 def r_w(w: str, code: str) -> Fraction:
@@ -195,13 +202,14 @@ def forces(code: str, w: str, q: Fraction) -> str:
     Returns FORCED, NOT-FORCED, or THRESHOLD (the boundary case q = r^w).
     The parameter must satisfy 0 < q < scope(w).
     """
+    return _forces(code, w, q)[1]
+
+
+def _forces(code: str, w: str, q: Fraction) -> tuple[Fraction, str]:
+    """r^w of the orbit together with forces' verdict at q."""
     q = _check_in_scope(w, q)
     r = r_w(w, code)
-    if q > r:
-        return FORCED
-    if q < r:
-        return NOT_FORCED
-    return AT_THRESHOLD
+    return r, FORCED if q > r else NOT_FORCED if q < r else AT_THRESHOLD
 
 
 def rhe_is_half(code: str) -> bool:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from horseshoe import invariants
 from horseshoe.cli import main
 
 
@@ -85,6 +87,26 @@ def test_force(capsys):
     assert out.strip() == "r=1/3 THRESHOLD"
 
 
+def test_one_evaluator_per_command(monkeypatch, capsys):
+    """force and rinv each read all their invariants from one evaluator."""
+    built = []
+    init = invariants._Rays.__init__
+
+    def counted(rays, code):
+        built.append(code)
+        init(rays, code)
+
+    monkeypatch.setattr(invariants._Rays, "__init__", counted)
+    for argv, want in (
+        (["force", "10010110", "11", "9/25"], "r=1/3 FORCED"),
+        (["rinv", "100010111001010", "1"], "mu=1/4 nu=1/3 lambda=1/3 r=1/3"),
+    ):
+        built.clear()
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.strip()) == (0, want)
+        assert built == [argv[1]]
+
+
 def test_disks(capsys):
     code, out, _ = run(capsys, "disks", "10010110", "11", "9/25")
     assert code == 0
@@ -154,6 +176,20 @@ def test_table_tsv(capsys):
     first = lines[2].split("\t")
     assert first[0] == "10111010"
     assert first[1] == "1/2"
+
+
+# SHA-256 of the TSV output of "table --period N"
+TABLE_DIGESTS = {
+    12: "d4d80d04a1185dbd19eaa965feff03923a35acbbed6991be7111e32061cb921b",
+    14: "2d729cc8c3eb45880e13e0a4940b363392a5cebc8d8c6866f2b1154a0a899c42",
+}
+
+
+def test_table_output_digests(capsys):
+    for period, digest in TABLE_DIGESTS.items():
+        code, out, _ = run(capsys, "table", "--period", str(period))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, period
 
 
 def test_table_json(capsys):

@@ -15,6 +15,7 @@ from horseshoe.invariants import r_w
 from horseshoe.orbits import q_in_Qw_sufficient
 from horseshoe.survey import necklaces
 from horseshoe.words import DomainError, Seq
+from test_invariants import assert_matches_reference
 
 pytestmark = pytest.mark.slow
 
@@ -80,3 +81,23 @@ def test_height_matches_oracle_periods_13_40():
     elapsed = time.perf_counter() - start
     print(f"\nheight vs height_oracle, periods 13-40: {cases} agree "
           f"({trivial} of height 1/2), {elapsed:.1f} s")
+
+
+def test_invariants_match_reference_on_long_codes():
+    """r* and the 21 lone r^w against one height per occurrence, n = 32-256.
+
+    The evaluator orders rays by N-bit keys sliced from one inverse Gray
+    code of the doubled code; the reference reads every ray's height.
+    """
+    rng = random.Random(20261019)
+    start = time.perf_counter()
+    decorations = lone_catalog(5)
+    assert len(decorations) == 21
+    counts = []
+    for n, k in ((32, 60), (64, 40), (256, 15)):
+        for _ in range(k):
+            code = "".join(rng.choice("01") for _ in range(n))
+            assert_matches_reference(code, decorations)
+        counts.append(f"{k * (1 + len(decorations))} at n = {n}")
+    elapsed = time.perf_counter() - start
+    print(f"\ninvariants vs reference r_dir: {', '.join(counts)} agree, {elapsed:.1f} s")

@@ -167,15 +167,14 @@ def test_exact_enumeration_refused_above_limit(monkeypatch, capsys):
         universality_scan("1", F(1, 3), MAX_EXACT_PERIOD)
 
 
-def test_sample_reads_rays_lazily():
-    """The sampled scan reads no more rays than one lazy pass per code.
+def test_sample_reads_one_height_per_code():
+    """The sampled scan reads one ray height per sampled code.
 
-    Under "both" a backward ray is read only when its forward ray would
-    beat the running minimum of the whole r_dir call.  With that minimum
-    this call makes 9,923 cold height misses; a minimum kept per window
-    instead makes 10,005.
+    Each r^w is the height of one ray, so k codes make at most k cold height
+    misses, besides the 4 rays of the cycle 1010 that scope("1") reads.
     """
+    k = 200
     height.cache_clear()
     scope.cache_clear()
-    universality_sample("1", F(2, 5), 64, 200, 1)
-    assert height.cache_info().misses <= 9923
+    universality_sample("1", F(2, 5), 64, k, 1)
+    assert height.cache_info().misses <= k + 4
