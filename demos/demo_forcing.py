@@ -7,8 +7,10 @@ Route 2: build the four boundary-crossing disks of the (w, q) companion
 family and count which ones the orbit actually enters (a symbolic stand-in
 for intersecting curves in the plane).
 
-The two computations share no code, which is the point: each one checks
-the other.
+The two computations share only the scope check and the integer key of the
+unimodal order (words._unimodal_key), so each one checks the other.  That
+key is pinned by the references test_words._reference_cmp,
+test_disks._reference_counts and test_invariants._reference_r_dir.
 """
 
 from fractions import Fraction as F
@@ -46,8 +48,8 @@ def main():
     q = F(9, 25)
     print(f"disk thresholds for (w={W!r}, q={q}):")
     for spec in disk_specs(W, q):
-        print(f"  {spec.name}: principal > ({spec.principal.per})^oo,"
-              f" shifted > ({spec.shifted.per})^oo")
+        print(f"  {spec.name}: principal > ({spec.principal})^oo,"
+              f" shifted > ({spec.shifted})^oo")
     print()
 
     # The sufficiency test tells you for which q the companion family of

@@ -82,16 +82,13 @@ from .words import (
     GT,
     LT,
     DomainError,
-    OrbitPoint,
     Seq,
     append_even,
-    backward_ray,
     canonical_code,
     even_final_subwords,
     even_initial_subwords,
     flip_first,
     flip_last,
-    forward_ray,
     is_even,
     is_primitive,
     prepend_even,

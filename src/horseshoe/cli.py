@@ -20,6 +20,7 @@ from .invariants import FORCED, NOT_FORCED, _Rays, _forces, r_star
 from .orbits import classify
 from .survey import (
     _DEFAULT_DECORATIONS,
+    _WILSON_Z,
     STAR,
     decinv_table,
     universality_sample,
@@ -208,7 +209,7 @@ def _cmd_scan(args) -> int:
     }
     if args.sample:
         lo, hi = wilson_interval(p, args.sample)
-        lines.append(f"z=3 Wilson interval [{lo:.4f}, {hi:.4f}]")
+        lines.append(f"z={_WILSON_Z} Wilson interval [{lo:.4f}, {hi:.4f}]")
         payload["interval"] = [lo, hi]
     return _emit(args, lines, payload)
 

@@ -65,7 +65,7 @@ def finite_order_word(q: Fraction) -> str:
     q = Fraction(q)
     if not 0 < q <= HALF:
         raise DomainError(f"d_q requires 0 < q <= 1/2, got {q}")
-    return cq_word(q)[: q.denominator - 1]
+    return _cq(q.numerator, q.denominator)[: q.denominator - 1]
 
 
 def _zero_runs(word: str) -> list[int]:

@@ -21,6 +21,8 @@ STAR = "*"
 # Exact tables and scans enumerate about 2^n / n necklaces (necklaces(20)
 # takes seconds), so periods above this are refused; sample them instead.
 MAX_EXACT_PERIOD = 24
+# Width of the Wilson intervals around sampled shares, in standard deviations.
+_WILSON_Z = 3
 
 
 def _check_exact_period(n: int) -> None:
@@ -160,9 +162,9 @@ def universality_sample(
     return Fraction(hits, k)
 
 
-def wilson_interval(p, k: int, z: float = 3.0) -> tuple[float, float]:
-    """The Wilson score interval (lo, hi) for a share p observed in k trials."""
-    p = float(p)
+def wilson_interval(p, k: int) -> tuple[float, float]:
+    """The Wilson score interval (lo, hi) at z = _WILSON_Z for a share p in k trials."""
+    p, z = float(p), _WILSON_Z
     centre = p + z * z / (2 * k)
     half = z * math.sqrt(p * (1 - p) / k + z * z / (4 * k * k))
     scale = 1 + z * z / k

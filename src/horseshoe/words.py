@@ -1,8 +1,10 @@
 """Binary words, eventually periodic sequences, and the unimodal order.
 
-Finite words are plain strings over the alphabet {0, 1}.  One-sided infinite
-sequences are :class:`Seq` values, stored as a preperiodic part followed by a
-repeating part.  The unimodal order is the total order on one-sided sequences
+Finite words are plain strings over the alphabet {0, 1}.  A periodic
+one-sided sequence is passed as its repeating word, as the rays of a
+periodic orbit and the disk thresholds are; :class:`Seq` is for sequences
+given with a preperiod, stored as a preperiodic part followed by a repeating
+part.  The unimodal order is the total order on one-sided sequences
 in which the lexicographic comparison at the first disagreement is reversed
 whenever the common prefix contains an odd number of 1s.  Replacing each
 symbol by the parity of the 1s up to and including it (the kneading
@@ -131,12 +133,6 @@ class Seq:
         k = -(-(n - len(self.pre)) // len(self.per))
         return (self.pre + self.per * k)[:n]
 
-    def shift(self) -> "Seq":
-        """The sequence with its first symbol removed."""
-        if self.pre:
-            return Seq(self.pre[1:], self.per)
-        return Seq("", self.per[1:] + self.per[0])
-
 
 def _unimodal_key(word: str) -> int:
     """An integer key for the unimodal order on nonempty words of one length.
@@ -163,42 +159,6 @@ def unimodal_cmp(s: Seq, t: Seq) -> int:
     n = max(len(s.pre), len(t.pre)) + len(s.per) + len(t.per)
     a, b = _unimodal_key(s.prefix(n)), _unimodal_key(t.prefix(n))
     return (a > b) - (a < b)
-
-
-def forward_ray(code: str, i: int) -> Seq:
-    """The periodic sequence read rightward from position i of the cyclic code."""
-    _check_word(code, allow_empty=False)
-    i %= len(code)
-    return Seq("", code[i:] + code[:i])
-
-
-def backward_ray(code: str, i: int) -> Seq:
-    """The periodic sequence read leftward starting at position i−1 of the cyclic code."""
-    _check_word(code, allow_empty=False)
-    i %= len(code)
-    return Seq("", (code[i:] + code[:i])[::-1])
-
-
-@dataclass(frozen=True)
-class OrbitPoint:
-    """A point of a periodic orbit: a repeating code together with a phase.
-
-    The point's biinfinite itinerary is … b₂ b₁ b₀ · f₀ f₁ f₂ … where the
-    forward ray f starts at the given offset and the backward ray b starts
-    one position to its left.  Both rays are built on each read by
-    :func:`forward_ray` and :func:`backward_ray`.
-    """
-
-    code: str
-    offset: int = 0
-
-    @property
-    def forward(self) -> Seq:
-        return forward_ray(self.code, self.offset)
-
-    @property
-    def backward(self) -> Seq:
-        return backward_ray(self.code, self.offset)
 
 
 def is_primitive(word: str) -> bool:

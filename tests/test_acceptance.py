@@ -22,7 +22,6 @@ from horseshoe import (
     DomainError,
     Hbar_poly,
     H_poly,
-    OrbitPoint,
     Seq,
     canonical_code,
     classify,
@@ -32,7 +31,6 @@ from horseshoe import (
     forcing_oracle,
     height,
     height_oracle,
-    in_disk,
     intersection_counts,
     interwi_expected,
     is_primitive,
@@ -57,6 +55,7 @@ from horseshoe import (
     universality_scan,
 )
 from horseshoe.cli import main
+from horseshoe.disks import _members
 from horseshoe.height import _cq
 from horseshoe.survey import wilson_interval
 from test_entropy import sturm_count
@@ -414,7 +413,6 @@ def _ac9_containments_and_counts():
         even = w.count("1") % 2 == 0
         for q in _fractions_below(cap, 9):
             specs = disk_specs(w, q)
-            a, b, c, d = specs
             for code in codes:
                 try:
                     counts = intersection_counts(code, w, q)
@@ -422,18 +420,14 @@ def _ac9_containments_and_counts():
                     continue
                 na, nb, nc, nd = counts
                 assert nc + nb == nd + na, (code, w, q, counts)
-                for k in range(len(code)):
-                    pt = OrbitPoint(code, k)
+                # pointwise, from one membership table of the orbit
+                for in_a, in_b, in_c, in_d in zip(*_members(code, specs)):
                     if even:
-                        if in_disk(pt, d):
-                            assert in_disk(pt, c)
-                        if in_disk(pt, b):
-                            assert in_disk(pt, a)
+                        assert in_c or not in_d, (code, w, q)
+                        assert in_a or not in_b, (code, w, q)
                     elif 2 * len(code) < q.denominator:
-                        if in_disk(pt, c):
-                            assert in_disk(pt, d)
-                        if in_disk(pt, a):
-                            assert in_disk(pt, b)
+                        assert in_d or not in_c, (code, w, q)
+                        assert in_b or not in_a, (code, w, q)
 
 
 def _ac9_boundary_counts():

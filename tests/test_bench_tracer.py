@@ -41,7 +41,6 @@ def test_tracer_counts_disk_calls():
     """
     importlib.import_module("horseshoe.cli")  # install looks up cli.main too
     disks = importlib.import_module("horseshoe.disks")
-    words = importlib.import_module("horseshoe.words")
     tracer = _tracer()
     trace = tracer.Tracer()
     trace.install()
@@ -57,7 +56,7 @@ def test_tracer_counts_disk_calls():
     trace = tracer.Tracer()
     trace.install()
     try:
-        disks.in_disk(words.OrbitPoint("10010110", 0), spec)
+        disks.in_disk("10010110", 0, spec)
     finally:
         trace.uninstall()
     assert trace.stats["disks.in_disk"][0] == 1

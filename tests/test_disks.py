@@ -1,10 +1,13 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
+from horseshoe import disks
 from horseshoe.disks import (
     DomainError,
+    _members,
     disk_specs,
     forcing_oracle,
     in_disk,
@@ -15,7 +18,6 @@ from horseshoe.survey import necklaces
 from horseshoe.words import (
     EQ,
     GT,
-    OrbitPoint,
     Seq,
     canonical_code,
     is_primitive,
@@ -30,14 +32,10 @@ def test_disk_specs_shape():
     assert [s.name for s in specs] == ["A", "B", "C", "D"]
     a, b, c, d = specs
     # A and B thresholds carry the reversed word, C and D the word itself
-    assert str(a.principal) == "(100010010)"
-    assert str(a.shifted) == "(100100011)"
-    assert str(b.principal) == "(100011011)"
-    assert str(b.shifted) == "(101100010)"
-    assert str(c.principal) == "(100010100)"
-    assert str(c.shifted) == "(010100011)"
-    assert str(d.principal) == "(100011101)"
-    assert str(d.shifted) == "(011100010)"
+    assert (a.principal, a.shifted) == ("100010010", "100100011")
+    assert (b.principal, b.shifted) == ("100011011", "101100010")
+    assert (c.principal, c.shifted) == ("100010100", "010100011")
+    assert (d.principal, d.shifted) == ("100011101", "011100010")
 
 
 def test_disk_specs_domain():
@@ -93,7 +91,7 @@ def test_in_disk_is_strict():
     code = "10010110"
     with pytest.raises(DomainError):
         for k in range(len(code)):
-            in_disk(OrbitPoint(code, k), specs[0])
+            in_disk(code, k, specs[0])
 
 
 def test_even_containments_spot():
@@ -103,21 +101,21 @@ def test_even_containments_spot():
             specs = disk_specs("11", q)
             a, b, c, d = specs
             for k in range(len(code)):
-                pt = OrbitPoint(code, k)
                 try:
-                    if in_disk(pt, d):
-                        assert in_disk(pt, c)
-                    if in_disk(pt, b):
-                        assert in_disk(pt, a)
+                    if in_disk(code, k, d):
+                        assert in_disk(code, k, c)
+                    if in_disk(code, k, b):
+                        assert in_disk(code, k, a)
                 except DomainError:
                     continue
 
 
-def _reference_counts(code, w, q):
-    """intersection_counts point by point: fresh Seq rays, one unimodal_cmp each."""
-    specs = disk_specs(w, q)
-    if not is_primitive(code):
-        raise DomainError(f"imprimitive code: {code}")
+# One Seq per threshold word, however many orbits are compared against it.
+_threshold = lru_cache(maxsize=None)(Seq.periodic)
+
+
+def _reference_rows(code, specs):
+    """Per-point membership by fresh Seq rays, one unimodal_cmp each; None on a tie."""
     n = len(code)
 
     def forward(i):
@@ -128,19 +126,34 @@ def _reference_counts(code, w, q):
         i %= n
         return Seq.periodic((code[i:] + code[:i])[::-1])
 
-    counts = [0, 0, 0, 0]
-    for p in range(n):
-        for k, spec in enumerate(specs):
+    rows = []
+    for spec in specs:
+        principal, shifted = _threshold(spec.principal), _threshold(spec.shifted)
+        row = []
+        for p in range(n):
             if spec.name in ("A", "B"):
                 first, second = backward(p), forward(p + 1)
             else:
                 first, second = forward(p), backward(p - 1)
-            side1 = unimodal_cmp(first, spec.principal)
-            side2 = unimodal_cmp(second, spec.shifted)
+            side1 = unimodal_cmp(first, principal)
+            side2 = unimodal_cmp(second, shifted)
             if side1 == EQ or side2 == EQ:
-                raise DomainError("point lies on the boundary orbit of the family")
-            counts[k] += side1 == GT and side2 == GT
-    return tuple(counts)
+                row.append(None)
+            else:
+                row.append(side1 == GT and side2 == GT)
+        rows.append(tuple(row))
+    return rows
+
+
+def _reference_counts(code, w, q):
+    """intersection_counts point by point from the reference rows."""
+    specs = disk_specs(w, q)
+    if not is_primitive(code):
+        raise DomainError(f"imprimitive code: {code}")
+    rows = _reference_rows(code, specs)
+    if any(None in row for row in rows):
+        raise DomainError("point lies on the boundary orbit of the family")
+    return tuple(sum(row) for row in rows)
 
 
 def _outcome(counts, code, w, q):
@@ -154,7 +167,7 @@ def test_counts_match_per_point_reference():
     # every necklace with n <= 8, every |w| <= 2, every q < scope(w) with den <= 10
     qs = {F(m, n) for n in range(2, 11) for m in range(1, n // 2 + 1)}
     words = ["".join(t) for k in range(3) for t in product("01", repeat=k)]
-    cases = boundary = 0
+    cases = boundary = ties = 0
     for n in range(1, 9):
         for code in necklaces(n):
             for w in words:
@@ -163,4 +176,49 @@ def test_counts_match_per_point_reference():
                     assert got == _outcome(_reference_counts, code, w, q), (code, w, q)
                     cases += 1
                     boundary += isinstance(got, str)
-    assert (cases, boundary) == (4899, 20)
+                    if isinstance(got, str):
+                        # a refused orbit: its ties are marked per point
+                        specs = disk_specs(w, q)
+                        rows = _members(code, specs)
+                        assert rows == _reference_rows(code, specs), (code, w, q)
+                        ties += sum(row.count(None) for row in rows)
+    assert (cases, boundary, ties) == (4899, 20, 40)
+
+
+def test_in_disk_reads_one_row_entry():
+    # every offset, negative or past the period, is read mod the period
+    code, w, q = "10010110", "11", F(1, 3)
+    specs = disk_specs(w, q)
+    rows = _members(code, specs)
+    assert rows == _reference_rows(code, specs)
+    for spec, row in zip(specs, rows):
+        for k in range(-len(code), 2 * len(code)):
+            inside = row[k % len(code)]
+            if inside is None:
+                with pytest.raises(DomainError, match="boundary orbit"):
+                    in_disk(code, k, spec)
+            else:
+                assert in_disk(code, k, spec) == inside
+    with pytest.raises(DomainError):
+        in_disk("", 0, specs[0])
+    with pytest.raises(DomainError):
+        in_disk("102", 0, specs[0])
+
+
+def test_disk_oracle_builds_no_seq(monkeypatch):
+    """Cold disk_specs, intersection_counts and forcing_oracle build no Seq."""
+    built = []
+    post_init = Seq.__post_init__
+
+    def counted(seq):
+        built.append(1)
+        post_init(seq)
+
+    disks._specs.cache_clear()
+    monkeypatch.setattr(Seq, "__post_init__", counted)
+    for w, q in (("1", F(2, 7)), ("", F(3, 10))):
+        disk_specs(w, q)
+    assert intersection_counts("10010110", "11", F(9, 25)) == (1, 0, 1, 0)
+    assert not forcing_oracle("10010110", "11", F(8, 25))
+    assert disks._specs.cache_info().misses == 4
+    assert built == []

@@ -22,17 +22,17 @@ pytestmark = pytest.mark.slow
 F = Fraction
 
 
-def test_formula_matches_disk_oracle_periods_9_10():
-    """ac07's agreement check at periods 9 and 10, all 21 lone decorations.
+def test_formula_matches_disk_oracle_periods_9_11():
+    """ac07's agreement check at periods 9 to 11, all 21 lone decorations.
 
     Inputs on which the oracle raises DomainError (a point on the boundary
     orbit of the family) are counted apart, not compared.
     """
-    start = time.perf_counter()
-    checked = refused = 0
     decorations = lone_catalog(5)
     assert len(decorations) == 21
-    for n in (9, 10):
+    for n in (9, 10, 11):
+        start = time.perf_counter()
+        checked = refused = 0
         for code in necklaces(n):
             for w in decorations:
                 cap = scope(w)
@@ -53,10 +53,10 @@ def test_formula_matches_disk_oracle_periods_9_10():
                             continue
                         assert verdict == (q > r), (code, w, q, r)
                         checked += 1
-    elapsed = time.perf_counter() - start
-    print(f"\nformula vs disk oracle, periods 9-10: {checked} agree, "
-          f"{refused} refused by the oracle, {elapsed:.1f} s")
-    assert checked > 0
+        elapsed = time.perf_counter() - start
+        print(f"\nformula vs disk oracle, period {n}: {checked} agree, "
+              f"{refused} refused by the oracle, {elapsed:.1f} s")
+        assert checked > 0
 
 
 def test_height_matches_oracle_periods_13_40():

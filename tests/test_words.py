@@ -10,16 +10,13 @@ from horseshoe.words import (
     GT,
     LT,
     DomainError,
-    OrbitPoint,
     Seq,
     append_even,
-    backward_ray,
     canonical_code,
     even_final_subwords,
     even_initial_subwords,
     flip_first,
     flip_last,
-    forward_ray,
     is_even,
     is_primitive,
     prepend_even,
@@ -95,8 +92,6 @@ def test_seq_indexing_prefix_shift():
     assert s.prefix(8) == "10011011"
     assert s.prefix(2) == "10"
     assert s.prefix(0) == ""
-    assert s.shift() == Seq("0", "011")
-    assert Seq.periodic("10").shift() == Seq.periodic("01")
     with pytest.raises(IndexError):
         s[-1]
 
@@ -165,26 +160,6 @@ def test_unimodal_cmp_matches_reference(s, t, shared):
     # a shared prefix pushes the first disagreement past the preperiods
     s, t = Seq(shared + s.pre, s.per), Seq(shared + t.pre, t.per)
     assert unimodal_cmp(s, t) == _reference_cmp(s, t)
-
-
-def test_rays():
-    assert forward_ray("10010", 0) == Seq.periodic("10010")
-    assert forward_ray("10010", 2) == Seq.periodic("01010010"[:5])
-    assert forward_ray("10010", 7) == forward_ray("10010", 2)
-    # the backward ray reads leftward starting one place before the offset
-    assert backward_ray("10010", 0) == Seq.periodic("01001")
-    assert backward_ray("10010", 3) == Seq.periodic("00101")
-    pt = OrbitPoint("10010", 3)
-    assert pt.forward == forward_ray("10010", 3)
-    assert pt.backward == backward_ray("10010", 3)
-
-
-def test_backward_ray_symbols():
-    code = "1011100"
-    for i in range(len(code)):
-        b = backward_ray(code, i)
-        for k in range(12):
-            assert b[k] == code[(i - 1 - k) % len(code)]
 
 
 def test_is_primitive():
