@@ -4,9 +4,10 @@ The height of a one-sided sequence is a rational in [0, 1/2] that is
 non-increasing with respect to the unimodal order: the maximal sequence
 10^inf has height 0 and every sequence that does not begin 10 has height
 1/2.  The decoration invariants rely on this order, reading each least
-height as the height of a unimodal-greatest ray.  For each rational
-q = m/n in (0, 1/2] there is a palindromic word c_q of length n+1 such
-that (c_q 0)^inf has height exactly q.
+height as the height of a unimodal-greatest ray, and so does the scope: the
+height of the unimodal-greatest rotation of the cycle 10w0.  For each
+rational q = m/n in (0, 1/2] there is a palindromic word c_q of length n+1
+such that (c_q 0)^inf has height exactly q.
 
 Two independent routes to the height are provided: :func:`height` runs the
 run-length scanning algorithm, and :func:`height_oracle` binary-searches
@@ -29,6 +30,7 @@ from .words import (
     DomainError,
     Seq,
     _check_word,
+    canonical_code,
     unimodal_cmp,
 )
 
@@ -205,10 +207,10 @@ def height_oracle(c: Seq, max_den: int = 64) -> Fraction:
 # length <= 5.
 @lru_cache(maxsize=1024)
 def scope(w: str) -> Fraction:
-    """The scope of a decoration w: the least height along the cycle 10w0."""
+    """The scope of a decoration w: the least height along the cycle 10w0,
+    which is the height of the cycle's unimodal-greatest rotation."""
     _check_word(w)
-    code = "10" + w + "0"
-    return min(height(code[i:] + code[:i]) for i in range(len(code)))
+    return height(canonical_code("10" + w + "0"))
 
 
 def _check_in_scope(w: str, q: Fraction) -> Fraction:

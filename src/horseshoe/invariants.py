@@ -22,7 +22,7 @@ from .height import _check_in_scope, height, scope
 from .words import (
     DomainError,
     _check_word,
-    _unimodal_key,
+    _rotation_keys,
     append_even,
     even_final_subwords,
     even_initial_subwords,
@@ -38,18 +38,6 @@ BOTH = "both"
 FORCED = "FORCED"
 NOT_FORCED = "NOT-FORCED"
 AT_THRESHOLD = "THRESHOLD"
-
-
-def _rotation_keys(ring: str) -> list:
-    """The unimodal keys of ring[i : i + N], i < N = |ring| / 2, as slices of one key.
-
-    Bit j of ring's key is the parity of ring[:j + 1], so a slice needs
-    complementing when ring[:i] holds an odd number of 1s.
-    """
-    N = len(ring) // 2
-    K, mask = _unimodal_key(ring), (1 << N) - 1
-    flip = (0, mask)
-    return [K >> (N - i) & mask ^ flip[K >> (2 * N - i) & 1] for i in range(N)]
 
 
 class _Rays:
@@ -68,11 +56,10 @@ class _Rays:
     def __init__(self, code: str) -> None:
         _check_word(code, allow_empty=False)
         self.code = code
-        # the forward ray at i reads ring from i; the backward ray at p reads
-        # leftward from p - 1, which is the reverse of ring from N - p
-        ring = code * 2
-        self._fwd = _rotation_keys(ring)
-        self._bwd = _rotation_keys(ring[::-1])
+        # the forward ray at i reads the code from i; the backward ray at p
+        # reads leftward from p - 1, which is the reverse from N - p
+        self._fwd = _rotation_keys(code)
+        self._bwd = _rotation_keys(code[::-1])
         self._occ = {}
 
     def _occurrences(self, v: str) -> list:

@@ -19,24 +19,22 @@ from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 
 STAR = "*"
 # Exact tables and scans enumerate about 2^n / n necklaces (necklaces(20)
-# takes seconds), so periods above this are refused; sample them instead.
+# takes over a second), so longer necklaces are refused; sample them instead.
 MAX_EXACT_PERIOD = 24
 # Width of the Wilson intervals around sampled shares, in standard deviations.
 _WILSON_Z = 3
 
 
-def _check_exact_period(n: int) -> None:
+def necklaces(n: int) -> list[str]:
+    """Canonical codes of all primitive binary necklaces of length n; lengths
+    above MAX_EXACT_PERIOD raise DomainError before any is enumerated."""
+    if n < 1:
+        raise DomainError(f"necklace length must be positive, got {n}")
     if n > MAX_EXACT_PERIOD:
         raise DomainError(
             f"exact enumeration is limited to period {MAX_EXACT_PERIOD}, got {n};"
             " estimate larger periods with scan --sample"
         )
-
-
-def necklaces(n: int) -> list[str]:
-    """Canonical codes of all primitive binary necklaces of length n."""
-    if n < 1:
-        raise DomainError(f"necklace length must be positive, got {n}")
     out = []
     w = [0]
     while w:
@@ -104,7 +102,6 @@ def decinv_table(
     """
     if period < 3:
         raise DomainError(f"table requires period at least 3, got {period}")
-    _check_exact_period(period)
     decorations = tuple(decorations)
     groups: dict[tuple, list] = {}
     for code in necklaces(period):
@@ -137,7 +134,6 @@ def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
     Periods above MAX_EXACT_PERIOD raise DomainError.
     """
     q = _check_in_scope(w, q)
-    _check_exact_period(n)
     codes = necklaces(n)
     hits = sum(1 for code in codes if r_w(w, code) < q)
     return Fraction(hits, len(codes))

@@ -9,7 +9,8 @@ in which the lexicographic comparison at the first disagreement is reversed
 whenever the common prefix contains an odd number of 1s.  Replacing each
 symbol by the parity of the 1s up to and including it (the kneading
 coordinates of Milnor and Thurston) turns that order into plain
-lexicographic order, so words of one length compare by an integer key.
+lexicographic order, so words of one length compare by an integer key, and
+all rotations of a word read their keys from one key of the word doubled.
 """
 from __future__ import annotations
 
@@ -150,6 +151,19 @@ def _unimodal_key(word: str) -> int:
     return x
 
 
+def _rotation_keys(word: str) -> list[int]:
+    """The unimodal keys of word[i:] + word[:i], i < |word|, as slices of one key.
+
+    Bit j of the key of the word doubled is the parity of its first j + 1
+    symbols, so a slice needs complementing when word[:i] holds an odd
+    number of 1s.
+    """
+    N = len(word)
+    K, mask = _unimodal_key(word * 2), (1 << N) - 1
+    flip = (0, mask)
+    return [K >> (N - i) & mask ^ flip[K >> (2 * N - i) & 1] for i in range(N)]
+
+
 def unimodal_cmp(s: Seq, t: Seq) -> int:
     """Compare two sequences in the unimodal order; returns LT, EQ or GT.
 
@@ -174,6 +188,7 @@ def canonical_code(word: str) -> str:
     periodic orbit, and is the canonical spelling used throughout.
     """
     _check_word(word, allow_empty=False)
-    d = (word + word).find(word, 1)
-    word = word[:d]
-    return max((word[k:] + word[:k] for k in range(d)), key=_unimodal_key)
+    word = word[: (word + word).find(word, 1)]
+    keys = _rotation_keys(word)
+    k = keys.index(max(keys))
+    return word[k:] + word[:k]

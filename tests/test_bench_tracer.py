@@ -108,9 +108,8 @@ def test_tracer_counts_heights_per_orbit():
     finally:
         trace.uninstall()
     assert sum(len(row.members) for row in table.rows) == len(codes) == 99
-    # 2N ray heights per orbit, one orbit height per classify, and the
-    # rays of each decoration's scope cycle 10w0
-    scope_rays = sum(len("10" + w + "0") for w in decorations)
+    # 2N ray heights per orbit, one orbit height per classify, and one ray
+    # per decoration's scope, the greatest rotation of its cycle 10w0
     misses = trace.report()["height.height"]["misses"]
-    assert misses <= len(codes) * (2 * n + 1) + scope_rays
+    assert misses <= len(codes) * (2 * n + 1) + len(decorations)
     assert tracer.count_wrappers() == 0

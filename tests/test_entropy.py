@@ -92,6 +92,8 @@ def test_g_poly():
         assert eval_poly(g, 1) == -4
         assert eval_poly(g, 2) == 2 ** (2 * i + 3) - 2
         assert len(g) == 2 * i + 7
+    with pytest.raises(DomainError):
+        g_poly(-1)
 
 
 def test_f_poly():
@@ -99,6 +101,9 @@ def test_f_poly():
     assert f_poly(F(1, 7)) == [0]
     assert f_poly(F(2, 5)) == [0, 0, 1]
     assert f_poly(F(3, 10)) == [0, 0, 0, 1, 0, 0, 1]
+    for q in (F(0), F(3, 5)):
+        with pytest.raises(DomainError):
+            f_poly(q)
 
 
 def test_h_coefficients():
@@ -142,6 +147,10 @@ def test_root_bracket_edge_cases():
     # roots at 2 and at a dyadic bisection point come back exactly
     assert root_bracket([-2, 1]) == (2, 2)
     assert root_bracket(_pmul([-3, 2], [-5, 4])) == (F(3, 2), F(3, 2))
+    # a lone dyadic root is met by the refining bisection itself
+    assert root_bracket([-3, 2]) == (F(3, 2), F(3, 2))
+    assert root_bracket([-7, 4]) == (F(7, 4), F(7, 4))
+    assert largest_root([-3, 2]) == 1.5
     # roots 5/3 and 5/3 + 2^-55 / 3: the bracket needs more bits than a
     # float holds, and the nearest float lies above its lower end
     p = _pmul([-5, 3], [-(5 * 2**55 + 1), 3 * 2**55])

@@ -74,6 +74,8 @@ def test_starforce_matches_invariant_spot():
 def test_ones_decoration():
     assert ones_decoration(0) == "1"
     assert ones_decoration(2) == "11111"
+    with pytest.raises(DomainError):
+        ones_decoration(-1)
 
 
 def test_interwi_expected():
@@ -101,6 +103,8 @@ def test_r_sequence():
         assert all(a >= b for a, b in zip(rs, rs[1:]))
         # stabilizes once the decoration outgrows the code
         assert rs[1] == rs[2] == rs[3] == rs[4]
+    with pytest.raises(DomainError):
+        r_sequence("100111111", -1)
 
 
 def test_r_sequence_matches_one_invariant_per_call():

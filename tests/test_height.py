@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from horseshoe.families import lone_catalog
 from horseshoe.height import (
     DomainError,
     cq_word,
@@ -88,6 +90,8 @@ def test_finite_order_word():
     assert finite_order_word(F(3, 8)) == "1011011"
     for q in CQ_TABLE:
         assert finite_order_word(q) == cq_word(q)[: q.denominator - 1]
+    with pytest.raises(DomainError):
+        finite_order_word(F(0))
 
 
 HEIGHTS = [
@@ -186,6 +190,30 @@ SCOPES = {
 def test_scope_values():
     for w, want in SCOPES.items():
         assert scope(w) == want
+
+
+def _reference_scope(w):
+    """The scope by its definition: the least height of every rotation of 10w0."""
+    code = "10" + w + "0"
+    return min(height(code[i:] + code[:i]) for i in range(len(code)))
+
+
+def test_scope_matches_least_rotation_height():
+    words = ["".join(bits) for n in range(11) for bits in product("01", repeat=n)]
+    assert len(words) == 2047
+    for w in words:
+        assert scope(w) == _reference_scope(w), w
+
+
+def test_scope_reads_one_height():
+    """A cold scope(w) asks height for one ray, the cycle's greatest rotation."""
+    decorations = lone_catalog(5)
+    assert len(decorations) == 21
+    for w in decorations:
+        height.cache_clear()
+        scope.cache_clear()
+        scope(w)
+        assert height.cache_info().misses == 1, w
 
 
 def test_scope_of_star_words():

@@ -5,6 +5,7 @@ Run with ``python3 -m pytest -m slow -s``; each test prints its counts.
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,8 +15,10 @@ from horseshoe.height import height, height_oracle, scope
 from horseshoe.invariants import r_w
 from horseshoe.orbits import q_in_Qw_sufficient
 from horseshoe.survey import necklaces
-from horseshoe.words import DomainError, Seq
+from horseshoe.words import GT, DomainError, Seq, canonical_code
+from test_height import _reference_scope
 from test_invariants import assert_matches_reference
+from test_words import _reference_cmp
 
 pytestmark = pytest.mark.slow
 
@@ -101,3 +104,38 @@ def test_invariants_match_reference_on_long_codes():
         counts.append(f"{k * (1 + len(decorations))} at n = {n}")
     elapsed = time.perf_counter() - start
     print(f"\ninvariants vs reference r_dir: {', '.join(counts)} agree, {elapsed:.1f} s")
+
+
+def test_scope_matches_least_rotation_height_to_12():
+    """scope against the least height over every rotation of 10w0, |w| <= 12."""
+    start = time.perf_counter()
+    checked = 0
+    for n in range(13):
+        for bits in product("01", repeat=n):
+            w = "".join(bits)
+            assert scope(w) == _reference_scope(w), w
+            checked += 1
+    elapsed = time.perf_counter() - start
+    print(f"\nscope vs least rotation height, |w| <= 12: {checked} agree, "
+          f"{elapsed:.1f} s")
+    assert checked == 2**13 - 1
+
+
+def test_canonical_code_matches_reference_lengths_13_15():
+    """canonical_code is a rotation no rotation exceeds in the reference order."""
+    start = time.perf_counter()
+    checked = 0
+    for n in (13, 14, 15):
+        for bits in product("01", repeat=n):
+            word = "".join(bits)
+            canon = canonical_code(word)
+            assert canon in word + word, word
+            best = Seq.periodic(canon)
+            for k in range(n):
+                rot = Seq.periodic(word[k:] + word[:k])
+                assert _reference_cmp(rot, best) != GT, word
+            checked += 1
+    elapsed = time.perf_counter() - start
+    print(f"\ncanonical_code vs reference order, lengths 13-15: {checked} words "
+          f"agree, {elapsed:.1f} s")
+    assert checked == 2**13 + 2**14 + 2**15

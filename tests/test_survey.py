@@ -132,6 +132,9 @@ def test_universality_sample_deterministic():
     assert a == b
     assert 0 <= a <= 1
     assert a.denominator <= 200
+    for n, k in ((0, 10), (10, 0)):
+        with pytest.raises(DomainError):
+            universality_sample("1", F(1, 3), n, k)
 
 
 def test_table_values_match_one_invariant_per_call():
@@ -149,11 +152,13 @@ def test_table_values_match_one_invariant_per_call():
 
 
 def test_exact_enumeration_refused_above_limit(monkeypatch, capsys):
-    def refuse(n):
-        raise AssertionError(f"necklaces({n}) was called")
+    def refuse(word):
+        raise AssertionError(f"canonical_code({word!r}) was called")
 
-    monkeypatch.setattr(survey, "necklaces", refuse)
+    monkeypatch.setattr(survey, "canonical_code", refuse)
     n = MAX_EXACT_PERIOD + 1
+    with pytest.raises(DomainError, match="--sample"):
+        necklaces(n)
     with pytest.raises(DomainError, match="--sample"):
         decinv_table(n)
     with pytest.raises(DomainError, match="--sample"):
@@ -171,10 +176,10 @@ def test_sample_reads_one_height_per_code():
     """The sampled scan reads one ray height per sampled code.
 
     Each r^w is the height of one ray, so k codes make at most k cold height
-    misses, besides the 4 rays of the cycle 1010 that scope("1") reads.
+    misses, besides the one ray of the cycle 1010 that scope("1") reads.
     """
     k = 200
     height.cache_clear()
     scope.cache_clear()
     universality_sample("1", F(2, 5), 64, k, 1)
-    assert height.cache_info().misses <= k + 4
+    assert height.cache_info().misses <= k + 1

@@ -5,6 +5,7 @@ from os.path import commonprefix
 import pytest
 from hypothesis import given, strategies as st
 
+from horseshoe import words
 from horseshoe.words import (
     EQ,
     GT,
@@ -177,6 +178,20 @@ def test_canonical_code():
     assert canonical_code("10101010") == "10"  # reduced to the primitive root
     assert canonical_code("1") == "1"
     assert canonical_code("0") == "0"
+
+
+def test_canonical_code_keys_once(monkeypatch):
+    """canonical_code reads every rotation's key from one key of the word doubled."""
+    calls = []
+    key = words._unimodal_key
+
+    def counted(word):
+        calls.append(word)
+        return key(word)
+
+    monkeypatch.setattr(words, "_unimodal_key", counted)
+    assert canonical_code("0111011") == "1011011"
+    assert calls == ["01110110111011"]
 
 
 @given(w=st.text(alphabet="01", min_size=1, max_size=8), k=st.integers(0, 7))
