@@ -100,8 +100,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_rinv(args) -> int:
-    rays = _Rays(args.code)
-    m, n_, l_, r = rays.mu(args.w), rays.nu(args.w), rays.lam(args.w), rays.r_w(args.w)
+    m, n_, l_, r = _Rays(args.code).parts(args.w)
     return _emit(
         args,
         [f"mu={m} nu={n_} lambda={l_} r={r}"],

@@ -53,8 +53,7 @@ def r_sequence(code: str, i_max: int) -> list[Fraction]:
     """The invariants of the odd-ones decorations 1, 111, ... on one code."""
     if i_max < 0:
         raise DomainError(f"i_max must be nonnegative, got {i_max}")
-    rays = _Rays(code)
-    return [rays.r_w(ones_decoration(i)) for i in range(i_max + 1)]
+    return _Rays(code).values(tuple(ones_decoration(i) for i in range(i_max + 1)))
 
 
 def pa_test(code: str) -> str:

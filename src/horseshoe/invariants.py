@@ -9,9 +9,14 @@ The rays of R are rotations of R and of its reverse.  Height is
 non-increasing in the unimodal order, so the least height over a set of
 rays is the height of its unimodal-greatest ray: each invariant compares
 integer unimodal keys and then makes one :func:`~horseshoe.height.height`
-call.  Tables, r-sequences and the CLI read all invariants of a code from
-one private evaluator; the public functions build one per call.  Nothing
-outlives it, so height's cache stays the one store of ray heights.
+call.  An invariant is a read, a set of windows with a direction; the reads
+a caller asks for compile into one plan, and a private evaluator walks the
+cyclic code once per window length in the plan, offering each occurrence's
+ray keys to every read its window feeds.  Tables, r-sequences and the CLI
+read all invariants of a code from one scan; the public functions make a
+one-read or one-decoration plan per call.  Plans hold windows only and the
+evaluator outlives no call, so height's cache stays the one store of ray
+heights.
 """
 from __future__ import annotations
 
@@ -34,10 +39,36 @@ from .words import (
 FORWARD = "forward"
 BACKWARD = "backward"
 BOTH = "both"
+_DIRECTIONS = (FORWARD, BACKWARD, BOTH)
 
 FORCED = "FORCED"
 NOT_FORCED = "NOT-FORCED"
 AT_THRESHOLD = "THRESHOLD"
+
+
+# One entry per read tuple: a benchmark pass asks at most 21, the r^w of each
+# lone decoration of length <= 5 on oracle_sweep, and a table pass asks one.
+@lru_cache(maxsize=1024)
+def _plan(reads: tuple) -> tuple:
+    """Compile reads, a tuple of (windows, direction), into one scan.
+
+    Returns (L, table) pairs, one per window length L, where table maps each
+    window of length L to the reads it feeds as (forward, backward, both)
+    tuples of read indices.
+    """
+    tables: dict = {}
+    for i, (windows, direction) in enumerate(reads):
+        if direction not in _DIRECTIONS:
+            raise DomainError(f"unknown direction: {direction!r}")
+        d = _DIRECTIONS.index(direction)
+        for v in windows:
+            feeds = tables.setdefault(len(v), {}).setdefault(v, ([], [], []))[d]
+            if not feeds or feeds[-1] != i:  # a window repeated within one read
+                feeds.append(i)
+    return tuple(
+        (L, {v: tuple(map(tuple, feeds)) for v, feeds in table.items()})
+        for L, table in tables.items()
+    )
 
 
 class _Rays:
@@ -49,9 +80,14 @@ class _Rays:
     unimodal keys, which order distinct rays of period N exactly because
     they differ within N symbols, and a key spells its ray back as the Gray
     code key ^ key >> 1, so only the winning ray reaches height.
+
+    All invariants a caller asks for are reads of one plan: :meth:`keys`
+    walks the cyclic code once per window length in the plan, looks each
+    start's window up once, and offers that occurrence's ray key to every
+    read the window feeds.
     """
 
-    __slots__ = ("code", "_fwd", "_bwd", "_occ")
+    __slots__ = ("code", "_fwd", "_bwd")
 
     def __init__(self, code: str) -> None:
         _check_word(code, allow_empty=False)
@@ -60,61 +96,64 @@ class _Rays:
         # reads leftward from p - 1, which is the reverse from N - p
         self._fwd = _rotation_keys(code)
         self._bwd = _rotation_keys(code[::-1])
-        self._occ = {}
 
-    def _occurrences(self, v: str) -> list:
-        """The start of every cyclic occurrence of v."""
-        code, L = self.code, len(v)
+    def keys(self, reads: tuple) -> list[int]:
+        """The key of the unimodal-greatest ray of each read, or 0 (0^N,
+        height 1/2) for a read whose windows do not occur."""
+        code, fwd, bwd = self.code, self._fwd, self._bwd
         N = len(code)
-        doubled = code * (L // N + 2)
-        end = N + L - 1  # an occurrence found before end starts below N
-        occ = self._occ[v] = []
-        p = doubled.find(v, 0, end)
-        while p >= 0:
-            occ.append(p)
-            p = doubled.find(v, p + 1, end)
-        return occ
-
-    def greatest(self, windows, direction: str) -> int:
-        """The key of the unimodal-greatest ray read, or 0 (0^N, height 1/2) if none."""
-        fwd, bwd, occ, N = self._fwd, self._bwd, self._occ, len(self.code)
-        best = 0
-        for v in windows:
-            L = len(v)
-            for p in occ[v] if v in occ else self._occurrences(v):
+        best = [0] * len(reads)
+        for L, table in _plan(reads):
+            doubled = code * (L // N + 2)
+            get = table.get
+            for p in range(N):
+                feeds = get(doubled[p : p + L])
+                if feeds is None:
+                    continue
                 # the backward ray at p is rotation (N - p) mod N of the reverse
-                if direction == BACKWARD:
-                    k = bwd[-p]
-                else:
-                    k = fwd[(p + L) % N]
-                    if direction == BOTH and bwd[-p] < k:
-                        k = bwd[-p]
-                if k > best:
-                    best = k
+                kf, kb = fwd[(p + L) % N], bwd[-p]
+                forward, backward, both = feeds
+                for i in forward:
+                    if kf > best[i]:
+                        best[i] = kf
+                for i in backward:
+                    if kb > best[i]:
+                        best[i] = kb
+                if both:
+                    k = kb if kb < kf else kf
+                    for i in both:
+                        if k > best[i]:
+                            best[i] = k
         return best
 
     def height(self, key: int) -> Fraction:
         """The height of the ray with this key."""
         return height(format(key ^ key >> 1, f"0{len(self.code)}b"))
 
-    def mu(self, w: str) -> Fraction:
-        return min(scope(w), self.height(self.greatest(_mu_windows(w), FORWARD)))
+    def read(self, windows, direction: str) -> Fraction:
+        """The least ray height over the occurrences of the windows."""
+        return self.height(self.keys(((tuple(windows), direction),))[0])
 
-    def nu(self, w: str) -> Fraction:
-        return min(scope(w), self.height(self.greatest(_nu_windows(w), BACKWARD)))
+    def values(self, decorations: tuple) -> list[Fraction]:
+        """r^w for each decoration w, and r* where w is None, from one scan."""
+        keys = iter(self.keys(_reads(decorations)))
+        out = []
+        for w in decorations:
+            if w is None:
+                out.append(self.height(next(keys)))
+            else:
+                # min(lam, max(mu, nu)) over heights is max(lam, min(mu, nu)) over keys
+                lam_, mu_, nu_ = next(keys), next(keys), next(keys)
+                out.append(min(scope(w), self.height(max(lam_, min(mu_, nu_)))))
+        return out
 
-    def lam(self, w: str) -> Fraction:
-        return min(scope(w), self.height(self.greatest(_lam_windows(w), BOTH)))
-
-    def r_w(self, w: str) -> Fraction:
-        # min(lam, max(mu, nu)) over heights is max(lam, min(mu, nu)) over keys
-        lam_ = self.greatest(_lam_windows(w), BOTH)
-        mu_ = self.greatest(_mu_windows(w), FORWARD)
-        nu_ = self.greatest(_nu_windows(w), BACKWARD)
-        return min(scope(w), self.height(max(lam_, min(mu_, nu_))))
-
-    def r_star(self) -> Fraction:
-        return self.height(self.greatest(("0", "1"), BOTH))
+    def parts(self, w: str) -> tuple[Fraction, ...]:
+        """(mu, nu, lam, r^w) of one decoration, from one scan."""
+        lam_, mu_, nu_ = self.keys(_reads((w,)))
+        s = scope(w)
+        return tuple(
+            min(s, self.height(k)) for k in (mu_, nu_, lam_, max(lam_, min(mu_, nu_)))
+        )
 
 
 def r_dir(code: str, windows, direction: str) -> Fraction:
@@ -124,10 +163,7 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
     forward ray leaving its right end and a backward ray leaving its left
     end; "both" takes the larger of the two heights before minimizing.
     """
-    rays = _Rays(code)
-    if direction not in (FORWARD, BACKWARD, BOTH):
-        raise DomainError(f"unknown direction: {direction!r}")
-    return rays.height(rays.greatest(windows, direction))
+    return _Rays(code).read(windows, direction)
 
 
 # The window builders keep one entry per decoration, as scope does.
@@ -154,19 +190,41 @@ def _lam_windows(w: str) -> tuple[str, ...]:
     return tuple(x + w + y for x in "01" for y in "01")
 
 
+# r* reads both rays at every position
+_STAR = (("0", "1"), BOTH)
+
+
+# One entry per decoration tuple, so as many as _plan holds from r^w and r*.
+@lru_cache(maxsize=1024)
+def _reads(decorations: tuple) -> tuple:
+    """The reads of r^w for each decoration w, as (lam, mu, nu), and of r*
+    where w is None, in one tuple for :func:`_plan`."""
+    reads = []
+    for w in decorations:
+        if w is None:
+            reads.append(_STAR)
+        else:
+            reads += [
+                (_lam_windows(w), BOTH),
+                (_mu_windows(w), FORWARD),
+                (_nu_windows(w), BACKWARD),
+            ]
+    return tuple(reads)
+
+
 def mu(w: str, code: str) -> Fraction:
     """Forward-ray invariant over windows built from even suffixes of w."""
-    return _Rays(code).mu(w)
+    return min(scope(w), _Rays(code).read(_mu_windows(w), FORWARD))
 
 
 def nu(w: str, code: str) -> Fraction:
     """Backward-ray invariant over windows built from even prefixes of w."""
-    return _Rays(code).nu(w)
+    return min(scope(w), _Rays(code).read(_nu_windows(w), BACKWARD))
 
 
 def lam(w: str, code: str) -> Fraction:
     """Two-sided invariant over the windows x w y."""
-    return _Rays(code).lam(w)
+    return min(scope(w), _Rays(code).read(_lam_windows(w), BOTH))
 
 
 def r_w(w: str, code: str) -> Fraction:
@@ -175,12 +233,12 @@ def r_w(w: str, code: str) -> Fraction:
     r^w = min(scope(w), lam, max(mu, nu)), which equals min(lam, max(mu, nu))
     over the scope-capped mu, nu and lam.
     """
-    return _Rays(code).r_w(w)
+    return _Rays(code).values((w,))[0]
 
 
 def r_star(code: str) -> Fraction:
     """The star invariant: two-sided ray heights at every position."""
-    return _Rays(code).r_star()
+    return _Rays(code).values((None,))[0]
 
 
 def forces(code: str, w: str, q: Fraction) -> str:

@@ -103,6 +103,7 @@ def decinv_table(
     if period < 3:
         raise DomainError(f"table requires period at least 3, got {period}")
     decorations = tuple(decorations)
+    wanted = tuple(None if d == STAR else d for d in decorations)
     groups: dict[tuple, list] = {}
     for code in necklaces(period):
         info = classify(code)
@@ -112,13 +113,12 @@ def decinv_table(
     rows = []
     for (kind, q, w), infos in groups.items():
         members = sorted((info.code for info in infos), key=_unimodal_key)
-        evaluators = [_Rays(m) for m in members]
+        columns = zip(*(_Rays(m).values(wanted) for m in members))
         values = []
-        for d in decorations:
-            vals = [e.r_star() if d == STAR else e.r_w(d) for e in evaluators]
+        for d, vals in zip(decorations, columns):
             if any(v != vals[0] for v in vals):
                 raise RuntimeError(
-                    f"group members disagree on {d!r}: {members} -> {vals}"
+                    f"group members disagree on {d!r}: {members} -> {list(vals)}"
                 )
             values.append(vals[0])
         label = _row_label(kind, q, w, members, infos)
@@ -139,6 +139,27 @@ def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
     return Fraction(hits, len(codes))
 
 
+# rng.choice("01") keeps the top two bits of one 32-bit generator output and
+# draws again on 2 or 3, so an output spells "0" when its high byte is below
+# 64, "1" when it is below 128, and nothing otherwise.
+_SYMBOLS = bytes(b"01"[b >= 64] for b in range(256))
+_REDRAWN = bytes(range(128, 256))
+
+
+def _random_word(rng: random.Random, n: int) -> str:
+    """The word that n calls of rng.choice("01") spell, from the same draws.
+
+    Each round takes one output per missing symbol, so no output is drawn
+    that the calls would not have drawn.
+    """
+    word = ""
+    while len(word) < n:
+        m = n - len(word)
+        high = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+        word += high.translate(_SYMBOLS, _REDRAWN).decode()
+    return word
+
+
 def universality_sample(
     w: str, q: Fraction, n: int, k: int, seed: int = 0
 ) -> Fraction:
@@ -150,7 +171,7 @@ def universality_sample(
     hits = 0
     for _ in range(k):
         while True:
-            word = "".join(rng.choice("01") for _ in range(n))
+            word = _random_word(rng, n)
             if is_primitive(word):
                 break
         if r_w(w, word) < q:

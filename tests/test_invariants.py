@@ -1,14 +1,18 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from horseshoe.families import lone_catalog
 from horseshoe.invariants import (
     AT_THRESHOLD,
+    BACKWARD,
     BOTH,
+    FORWARD,
     FORCED,
     NOT_FORCED,
     DomainError,
+    _Rays,
     _lam_windows,
     _mu_windows,
     _nu_windows,
@@ -213,3 +217,38 @@ def test_r_dir_matches_reference_on_small_periods():
     for n in range(1, 13):
         for code in necklaces(n):
             assert_matches_reference(code, decorations)
+
+
+def test_scan_edge_cases_match_reference():
+    """One plan on every code of length 1 to 4 against the reference r_dir.
+
+    Windows run up to length 7, so most are longer than the code and wrap
+    around it; reads mix lengths, include the empty window, and sit in one
+    plan with every lone window in every direction.
+    """
+    directions = (FORWARD, BACKWARD, BOTH)
+    for N in range(1, 5):
+        for code in map("".join, product("01", repeat=N)):
+            cyclic = code * 8
+            occurring = [cyclic[p : p + L] for L in range(8) for p in range(N)]
+            window_sets = [(v,) for v in dict.fromkeys(occurring)] + [
+                ("1", "010", "0000000"),
+                ("", "11"),
+                ("0110110", "1001", "0"),
+                ("1111111", "00000", "101"),
+                tuple(dict.fromkeys(occurring)),
+                (),
+            ]
+            reads = tuple(product(window_sets, directions))
+            rays = _Rays(code)
+            got = [rays.height(k) for k in rays.keys(reads)]
+            want = [_reference_r_dir(code, ws, d) for ws, d in reads]
+            assert got == want, code
+            for ws, d in reads[-18:]:
+                assert r_dir(code, ws, d) == _reference_r_dir(code, ws, d), (code, ws, d)
+            assert_matches_reference(code, [""])
+            assert [mu("", code), nu("", code), lam("", code), r_w("", code)] == list(
+                rays.parts("")
+            )
+            with pytest.raises(DomainError, match="sideways"):
+                rays.keys(((("1",), FORWARD), (("1", "0000000"), "sideways")))

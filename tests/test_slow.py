@@ -12,7 +12,7 @@ import pytest
 from horseshoe.disks import forcing_oracle
 from horseshoe.families import lone_catalog
 from horseshoe.height import height, height_oracle, scope
-from horseshoe.invariants import r_w
+from horseshoe.invariants import _Rays, r_w
 from horseshoe.orbits import q_in_Qw_sufficient
 from horseshoe.survey import necklaces
 from horseshoe.words import GT, DomainError, Seq, canonical_code
@@ -90,7 +90,8 @@ def test_invariants_match_reference_on_long_codes():
     """r* and the 21 lone r^w against one height per occurrence, n = 32-256.
 
     The evaluator orders rays by N-bit keys sliced from one inverse Gray
-    code of the doubled code; the reference reads every ray's height.
+    code of the doubled code; the reference reads every ray's height.  The
+    21 r^w read from one plan also equal 21 one-decoration calls.
     """
     rng = random.Random(20261019)
     start = time.perf_counter()
@@ -101,6 +102,8 @@ def test_invariants_match_reference_on_long_codes():
         for _ in range(k):
             code = "".join(rng.choice("01") for _ in range(n))
             assert_matches_reference(code, decorations)
+            together = _Rays(code).values(tuple(decorations))
+            assert together == [r_w(w, code) for w in decorations], code
         counts.append(f"{k * (1 + len(decorations))} at n = {n}")
     elapsed = time.perf_counter() - start
     print(f"\ninvariants vs reference r_dir: {', '.join(counts)} agree, {elapsed:.1f} s")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,10 +6,11 @@ import pytest
 from horseshoe import survey
 from horseshoe.cli import main
 from horseshoe.height import height, scope
-from horseshoe.invariants import r_star, r_w
+from horseshoe.invariants import _plan, r_star, r_w
 from horseshoe.survey import (
     _DEFAULT_DECORATIONS,
     MAX_EXACT_PERIOD,
+    _random_word,
     STAR,
     DomainError,
     decinv_table,
@@ -183,3 +185,23 @@ def test_sample_reads_one_height_per_code():
     scope.cache_clear()
     universality_sample("1", F(2, 5), 64, k, 1)
     assert height.cache_info().misses <= k + 1
+
+
+def test_random_word_matches_choice_loop():
+    """Batched draws spell the words of the rng.choice loop and leave the
+    generator where the loop leaves it."""
+    for seed in range(300):
+        for n in (1, 2, 3, 7, 32, 64, 65, 256, 1000):
+            batched, looped = random.Random(seed), random.Random(seed)
+            want = "".join(looped.choice("01") for _ in range(n))
+            assert _random_word(batched, n) == want, (seed, n)
+            assert batched.random() == looped.random(), (seed, n)
+
+
+def test_table_compiles_one_plan():
+    """Every member of a table is read through the same compiled plan."""
+    _plan.cache_clear()
+    table = decinv_table(10)
+    assert sum(len(row.members) for row in table.rows) == len(necklaces(10))
+    info = _plan.cache_info()
+    assert (info.misses, info.hits) == (1, len(necklaces(10)) - 1)
