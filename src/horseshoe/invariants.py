@@ -135,11 +135,11 @@ class _Rays:
         return self.height(self.keys(((tuple(windows), direction),))[0])
 
     def values(self, decorations: tuple) -> list[Fraction]:
-        """r^w for each decoration w, and r* where w is None, from one scan."""
+        """r^w for each decoration w, and r* where w is _STAR_READ, from one scan."""
         keys = iter(self.keys(_reads(decorations)))
         out = []
         for w in decorations:
-            if w is None:
+            if w is _STAR_READ:
                 out.append(self.height(next(keys)))
             else:
                 # min(lam, max(mu, nu)) over heights is max(lam, min(mu, nu)) over keys
@@ -190,19 +190,20 @@ def _lam_windows(w: str) -> tuple[str, ...]:
     return tuple(x + w + y for x in "01" for y in "01")
 
 
-# r* reads both rays at every position
-_STAR = (("0", "1"), BOTH)
+# r* reads both rays at every position; callers pass this read itself in
+# place of a decoration to ask for r*
+_STAR_READ = (("0", "1"), BOTH)
 
 
 # One entry per decoration tuple, so as many as _plan holds from r^w and r*.
 @lru_cache(maxsize=1024)
 def _reads(decorations: tuple) -> tuple:
     """The reads of r^w for each decoration w, as (lam, mu, nu), and of r*
-    where w is None, in one tuple for :func:`_plan`."""
+    where w is _STAR_READ, in one tuple for :func:`_plan`."""
     reads = []
     for w in decorations:
-        if w is None:
-            reads.append(_STAR)
+        if w is _STAR_READ:
+            reads.append(_STAR_READ)
         else:
             reads += [
                 (_lam_windows(w), BOTH),
@@ -238,7 +239,7 @@ def r_w(w: str, code: str) -> Fraction:
 
 def r_star(code: str) -> Fraction:
     """The star invariant: two-sided ray heights at every position."""
-    return _Rays(code).values((None,))[0]
+    return _Rays(code).values((_STAR_READ,))[0]
 
 
 def forces(code: str, w: str, q: Fraction) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .height import HALF, _check_in_scope, cq_word, finite_order_word, scope
-from .invariants import _Rays, r_w
+from .invariants import _STAR_READ, _Rays, r_w
 from .orbits import DECORATED, FINITE_ORDER, NBT, classify
 from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 
@@ -103,7 +103,7 @@ def decinv_table(
     if period < 3:
         raise DomainError(f"table requires period at least 3, got {period}")
     decorations = tuple(decorations)
-    wanted = tuple(None if d == STAR else d for d in decorations)
+    wanted = tuple(_STAR_READ if d == STAR else d for d in decorations)
     groups: dict[tuple, list] = {}
     for code in necklaces(period):
         info = classify(code)
