@@ -141,7 +141,8 @@ def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
 
 # rng.choice("01") keeps the top two bits of one 32-bit generator output and
 # draws again on 2 or 3, so an output spells "0" when its high byte is below
-# 64, "1" when it is below 128, and nothing otherwise.
+# 64, "1" when it is below 128, and nothing otherwise.  getrandbits(32 * m)
+# consumes m outputs and puts the first in its lowest 32 bits.
 _SYMBOLS = bytes(b"01"[b >= 64] for b in range(256))
 _REDRAWN = bytes(range(128, 256))
 
