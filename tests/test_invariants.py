@@ -8,8 +8,8 @@ from horseshoe.invariants import (
     AT_THRESHOLD,
     BACKWARD,
     BOTH,
-    FORWARD,
     FORCED,
+    FORWARD,
     NOT_FORCED,
     DomainError,
     _Rays,
@@ -223,8 +223,9 @@ def test_scan_edge_cases_match_reference():
     """One plan on every code of length 1 to 4 against the reference r_dir.
 
     Windows run up to length 7, so most are longer than the code and wrap
-    around it; reads mix lengths, include the empty window, and sit in one
-    plan with every lone window in every direction.
+    around it; reads mix lengths and include the empty window and an empty
+    window set, all in one plan with a one-window read of every window that
+    occurs, in every direction.
     """
     directions = (FORWARD, BACKWARD, BOTH)
     for N in range(1, 5):

@@ -10,9 +10,9 @@ from horseshoe.invariants import _plan, r_star, r_w
 from horseshoe.survey import (
     _DEFAULT_DECORATIONS,
     MAX_EXACT_PERIOD,
-    _random_word,
     STAR,
     DomainError,
+    _random_word,
     decinv_table,
     necklaces,
     universality_sample,
