@@ -44,6 +44,7 @@ from .invariants import (
     FORCED,
     FORWARD,
     NOT_FORCED,
+    STAR,
     forces,
     lam,
     mu,
@@ -69,7 +70,6 @@ from .orbits import (
     reverse_orbit,
 )
 from .survey import (
-    STAR,
     DecInvTable,
     TableRow,
     decinv_table,

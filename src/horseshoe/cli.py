@@ -16,12 +16,11 @@ from .disks import forcing_oracle, intersection_counts
 from .entropy import entropy_certificate, root_bracket
 from .families import lone_catalog, pa_test, r_sequence, star_decoration
 from .height import cq_word, height, scope
-from .invariants import FORCED, NOT_FORCED, _Rays, _forces, r_star
+from .invariants import FORCED, NOT_FORCED, STAR, _forces, _parts, r_star
 from .orbits import classify
 from .survey import (
     _DEFAULT_DECORATIONS,
     _WILSON_Z,
-    STAR,
     decinv_table,
     universality_sample,
     universality_scan,
@@ -100,7 +99,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_rinv(args) -> int:
-    m, n_, l_, r = _Rays(args.code).parts(args.w)
+    m, n_, l_, r = _parts(args.w, args.code)
     return _emit(
         args,
         [f"mu={m} nu={n_} lambda={l_} r={r}"],

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .height import HALF, cq_word
-from .invariants import _Rays
+from .invariants import _values
 from .words import DomainError, canonical_code
 
 
@@ -53,7 +53,7 @@ def r_sequence(code: str, i_max: int) -> list[Fraction]:
     """The invariants of the odd-ones decorations 1, 111, ... on one code."""
     if i_max < 0:
         raise DomainError(f"i_max must be nonnegative, got {i_max}")
-    return _Rays(code).values(tuple(ones_decoration(i) for i in range(i_max + 1)))
+    return _values(code, tuple(ones_decoration(i) for i in range(i_max + 1)))
 
 
 def pa_test(code: str) -> str:

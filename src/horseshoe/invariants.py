@@ -9,14 +9,15 @@ The rays of R are rotations of R and of its reverse.  Height is
 non-increasing in the unimodal order, so the least height over a set of
 rays is the height of its unimodal-greatest ray: each invariant compares
 integer unimodal keys and then makes one :func:`~horseshoe.height.height`
-call.  An invariant is a read, a set of windows with a direction; the reads
-a caller asks for compile into one plan, and a private evaluator walks the
+call.  An invariant is a read, a set of windows with a direction.
+:func:`_plan` compiles the reads of a tuple of decorations (lam, mu and nu
+for each r^w, one read for r*) once per tuple, and :func:`_keys` walks the
 cyclic code once per window length in the plan, offering each occurrence's
-ray keys to every read its window feeds.  Tables, r-sequences and the CLI
-read all invariants of a code from one scan; the public functions make a
-one-read or one-decoration plan per call.  Plans hold windows only and the
-evaluator outlives no call, so height's cache stays the one store of ray
-heights.
+ray keys to every read its window feeds.  :func:`_values` turns those keys
+into r^w and r*, so tables, r-sequences and r_w read all invariants of a
+code from one scan; :func:`_parts` reads mu, nu and lam of one decoration
+from one scan, and r_dir compiles its own read.  Plans hold windows only,
+so height's cache stays the one store of ray heights.
 """
 from __future__ import annotations
 
@@ -45,16 +46,18 @@ FORCED = "FORCED"
 NOT_FORCED = "NOT-FORCED"
 AT_THRESHOLD = "THRESHOLD"
 
+# The token that asks a table or _values for r* in place of a decoration;
+# r* reads both rays at every position.
+STAR = "*"
+_STAR_READ = (("0", "1"), BOTH)
 
-# One entry per read tuple: a benchmark pass asks at most 21, the r^w of each
-# lone decoration of length <= 5 on oracle_sweep, and a table pass asks one.
-@lru_cache(maxsize=1024)
-def _plan(reads: tuple) -> tuple:
+
+def _compile(reads: tuple) -> tuple:
     """Compile reads, a tuple of (windows, direction), into one scan.
 
-    Returns (L, table) pairs, one per window length L, where table maps each
-    window of length L to the reads it feeds as (forward, backward, both)
-    tuples of read indices.
+    Returns the number of reads and (L, table) pairs, one per window length
+    L, where table maps each window of length L to the reads it feeds as
+    (forward, backward, both) tuples of read indices.
     """
     tables: dict = {}
     for i, (windows, direction) in enumerate(reads):
@@ -65,95 +68,121 @@ def _plan(reads: tuple) -> tuple:
             feeds = tables.setdefault(len(v), {}).setdefault(v, ([], [], []))[d]
             if not feeds or feeds[-1] != i:  # a window repeated within one read
                 feeds.append(i)
-    return tuple(
+    return len(reads), tuple(
         (L, {v: tuple(map(tuple, feeds)) for v, feeds in table.items()})
         for L, table in tables.items()
     )
 
 
-class _Rays:
-    """The rays of one orbit code, for evaluating its invariants together.
+def _mu_windows(w: str) -> tuple[str, ...]:
+    return tuple(
+        flip_first(v) + x
+        for v in even_final_subwords(prepend_even(w))
+        for x in "01"
+    )
 
-    Height is non-increasing in the unimodal order, so an invariant is the
-    height of the unimodal-greatest ray it reads; under "both" each
-    occurrence offers the lesser of its two rays.  Rays are kept as N-bit
-    unimodal keys, which order distinct rays of period N exactly because
-    they differ within N symbols, and a key spells its ray back as the Gray
-    code key ^ key >> 1, so only the winning ray reaches height.
 
-    All invariants a caller asks for are reads of one plan: :meth:`keys`
-    walks the cyclic code once per window length in the plan, looks each
-    start's window up once, and offers that occurrence's ray key to every
-    read the window feeds.
+def _nu_windows(w: str) -> tuple[str, ...]:
+    return tuple(
+        x + flip_last(v)
+        for v in even_initial_subwords(append_even(w))
+        for x in "01"
+    )
+
+
+def _lam_windows(w: str) -> tuple[str, ...]:
+    return tuple(x + w + y for x in "01" for y in "01")
+
+
+# One entry per decoration tuple: a benchmark pass asks at most 21, the r^w
+# of each lone decoration of length <= 5 on oracle_sweep, and a table pass
+# asks one.
+@lru_cache(maxsize=1024)
+def _plan(decorations: tuple) -> tuple:
+    """The compiled scan of r^w for each decoration w, as the reads lam, mu
+    and nu, and of r* where w is STAR."""
+    reads = []
+    for w in decorations:
+        if w == STAR:
+            reads.append(_STAR_READ)
+        else:
+            reads += [
+                (_lam_windows(w), BOTH),
+                (_mu_windows(w), FORWARD),
+                (_nu_windows(w), BACKWARD),
+            ]
+    return _compile(tuple(reads))
+
+
+def _keys(code: str, plan: tuple) -> list[int]:
+    """The key of the unimodal-greatest ray of each read of the plan, or 0
+    (0^N, height 1/2) for a read whose windows do not occur in the code.
+
+    Rays are N-bit unimodal keys, which order distinct rays of period N
+    exactly because they differ within N symbols.  The code is walked once
+    per window length in the plan; each start's window is looked up once
+    and offers that occurrence's ray key to every read it feeds, the lesser
+    of its two keys under "both".
     """
+    _check_word(code, allow_empty=False)
+    N = len(code)
+    # the forward ray at i reads the code from i; the backward ray at p
+    # reads leftward from p - 1, which is the reverse from N - p
+    fwd, bwd = _rotation_keys(code), _rotation_keys(code[::-1])
+    n_reads, scans = plan
+    best = [0] * n_reads
+    for L, table in scans:
+        doubled = code * (L // N + 2)
+        get = table.get
+        for p in range(N):
+            feeds = get(doubled[p : p + L])
+            if feeds is None:
+                continue
+            # the backward ray at p is rotation (N - p) mod N of the reverse
+            kf, kb = fwd[(p + L) % N], bwd[-p]
+            forward, backward, both = feeds
+            for i in forward:
+                if kf > best[i]:
+                    best[i] = kf
+            for i in backward:
+                if kb > best[i]:
+                    best[i] = kb
+            if both:
+                k = kb if kb < kf else kf
+                for i in both:
+                    if k > best[i]:
+                        best[i] = k
+    return best
 
-    __slots__ = ("code", "_fwd", "_bwd")
 
-    def __init__(self, code: str) -> None:
-        _check_word(code, allow_empty=False)
-        self.code = code
-        # the forward ray at i reads the code from i; the backward ray at p
-        # reads leftward from p - 1, which is the reverse from N - p
-        self._fwd = _rotation_keys(code)
-        self._bwd = _rotation_keys(code[::-1])
+def _height(key: int, N: int) -> Fraction:
+    """The height of the period-N ray with this key, spelled back as the
+    Gray code key ^ key >> 1."""
+    return height(format(key ^ key >> 1, f"0{N}b"))
 
-    def keys(self, reads: tuple) -> list[int]:
-        """The key of the unimodal-greatest ray of each read, or 0 (0^N,
-        height 1/2) for a read whose windows do not occur."""
-        code, fwd, bwd = self.code, self._fwd, self._bwd
-        N = len(code)
-        best = [0] * len(reads)
-        for L, table in _plan(reads):
-            doubled = code * (L // N + 2)
-            get = table.get
-            for p in range(N):
-                feeds = get(doubled[p : p + L])
-                if feeds is None:
-                    continue
-                # the backward ray at p is rotation (N - p) mod N of the reverse
-                kf, kb = fwd[(p + L) % N], bwd[-p]
-                forward, backward, both = feeds
-                for i in forward:
-                    if kf > best[i]:
-                        best[i] = kf
-                for i in backward:
-                    if kb > best[i]:
-                        best[i] = kb
-                if both:
-                    k = kb if kb < kf else kf
-                    for i in both:
-                        if k > best[i]:
-                            best[i] = k
-        return best
 
-    def height(self, key: int) -> Fraction:
-        """The height of the ray with this key."""
-        return height(format(key ^ key >> 1, f"0{len(self.code)}b"))
+def _values(code: str, decorations: tuple) -> list[Fraction]:
+    """r^w for each decoration w, and r* where w is STAR, from one scan."""
+    keys = iter(_keys(code, _plan(decorations)))
+    N = len(code)
+    out = []
+    for w in decorations:
+        if w == STAR:
+            out.append(_height(next(keys), N))
+        else:
+            # min(lam, max(mu, nu)) over heights is max(lam, min(mu, nu)) over keys
+            lam_, mu_, nu_ = next(keys), next(keys), next(keys)
+            out.append(min(scope(w), _height(max(lam_, min(mu_, nu_)), N)))
+    return out
 
-    def read(self, windows, direction: str) -> Fraction:
-        """The least ray height over the occurrences of the windows."""
-        return self.height(self.keys(((tuple(windows), direction),))[0])
 
-    def values(self, decorations: tuple) -> list[Fraction]:
-        """r^w for each decoration w, and r* where w is _STAR_READ, from one scan."""
-        keys = iter(self.keys(_reads(decorations)))
-        out = []
-        for w in decorations:
-            if w is _STAR_READ:
-                out.append(self.height(next(keys)))
-            else:
-                # min(lam, max(mu, nu)) over heights is max(lam, min(mu, nu)) over keys
-                lam_, mu_, nu_ = next(keys), next(keys), next(keys)
-                out.append(min(scope(w), self.height(max(lam_, min(mu_, nu_)))))
-        return out
-
-    def parts(self, w: str) -> tuple[Fraction, ...]:
-        """(mu, nu, lam, r^w) of one decoration, from one scan."""
-        lam_, mu_, nu_ = self.keys(_reads((w,)))
-        s = scope(w)
-        return tuple(
-            min(s, self.height(k)) for k in (mu_, nu_, lam_, max(lam_, min(mu_, nu_)))
-        )
+def _parts(w: str, code: str) -> tuple[Fraction, ...]:
+    """(mu, nu, lam, r^w) of one decoration, from one scan."""
+    _check_word(w)
+    lam_, mu_, nu_ = _keys(code, _plan((w,)))
+    s, N = scope(w), len(code)
+    m, n, l_ = (min(s, _height(k, N)) for k in (mu_, nu_, lam_))
+    return m, n, l_, min(l_, max(m, n))
 
 
 def r_dir(code: str, windows, direction: str) -> Fraction:
@@ -163,69 +192,23 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
     forward ray leaving its right end and a backward ray leaving its left
     end; "both" takes the larger of the two heights before minimizing.
     """
-    return _Rays(code).read(windows, direction)
-
-
-# The window builders keep one entry per decoration, as scope does.
-@lru_cache(maxsize=1024)
-def _mu_windows(w: str) -> tuple[str, ...]:
-    return tuple(
-        flip_first(v) + x
-        for v in even_final_subwords(prepend_even(w))
-        for x in "01"
-    )
-
-
-@lru_cache(maxsize=1024)
-def _nu_windows(w: str) -> tuple[str, ...]:
-    return tuple(
-        x + flip_last(v)
-        for v in even_initial_subwords(append_even(w))
-        for x in "01"
-    )
-
-
-@lru_cache(maxsize=1024)
-def _lam_windows(w: str) -> tuple[str, ...]:
-    return tuple(x + w + y for x in "01" for y in "01")
-
-
-# r* reads both rays at every position; callers pass this read itself in
-# place of a decoration to ask for r*
-_STAR_READ = (("0", "1"), BOTH)
-
-
-# One entry per decoration tuple, so as many as _plan holds from r^w and r*.
-@lru_cache(maxsize=1024)
-def _reads(decorations: tuple) -> tuple:
-    """The reads of r^w for each decoration w, as (lam, mu, nu), and of r*
-    where w is _STAR_READ, in one tuple for :func:`_plan`."""
-    reads = []
-    for w in decorations:
-        if w is _STAR_READ:
-            reads.append(_STAR_READ)
-        else:
-            reads += [
-                (_lam_windows(w), BOTH),
-                (_mu_windows(w), FORWARD),
-                (_nu_windows(w), BACKWARD),
-            ]
-    return tuple(reads)
+    plan = _compile(((tuple(windows), direction),))
+    return _height(_keys(code, plan)[0], len(code))
 
 
 def mu(w: str, code: str) -> Fraction:
     """Forward-ray invariant over windows built from even suffixes of w."""
-    return min(scope(w), _Rays(code).read(_mu_windows(w), FORWARD))
+    return _parts(w, code)[0]
 
 
 def nu(w: str, code: str) -> Fraction:
     """Backward-ray invariant over windows built from even prefixes of w."""
-    return min(scope(w), _Rays(code).read(_nu_windows(w), BACKWARD))
+    return _parts(w, code)[1]
 
 
 def lam(w: str, code: str) -> Fraction:
     """Two-sided invariant over the windows x w y."""
-    return min(scope(w), _Rays(code).read(_lam_windows(w), BOTH))
+    return _parts(w, code)[2]
 
 
 def r_w(w: str, code: str) -> Fraction:
@@ -234,12 +217,13 @@ def r_w(w: str, code: str) -> Fraction:
     r^w = min(scope(w), lam, max(mu, nu)), which equals min(lam, max(mu, nu))
     over the scope-capped mu, nu and lam.
     """
-    return _Rays(code).values((w,))[0]
+    _check_word(w)
+    return _values(code, (w,))[0]
 
 
 def r_star(code: str) -> Fraction:
     """The star invariant: two-sided ray heights at every position."""
-    return _Rays(code).values((_STAR_READ,))[0]
+    return _values(code, (STAR,))[0]
 
 
 def forces(code: str, w: str, q: Fraction) -> str:

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .height import HALF, _check_in_scope, cq_word, finite_order_word, scope
-from .invariants import _STAR_READ, _Rays, r_w
-from .orbits import DECORATED, FINITE_ORDER, NBT, classify
+from .invariants import STAR, _values, r_w
+from .orbits import FINITE_ORDER, NBT, classify
 from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 
-STAR = "*"
 # Exact tables and scans enumerate about 2^n / n necklaces (necklaces(20)
 # takes over a second), so longer necklaces are refused; sample them instead.
 MAX_EXACT_PERIOD = 24
@@ -70,8 +69,6 @@ def _row_label(kind, q, w, members, infos) -> str:
         return finite_order_word(q) + "."
     if kind == NBT:
         return cq_word(q) + "."
-    if kind != DECORATED:
-        return members[0]
     c = cq_word(q)
     if len(members) == 4:
         return c + "." + w + "."
@@ -103,7 +100,6 @@ def decinv_table(
     if period < 3:
         raise DomainError(f"table requires period at least 3, got {period}")
     decorations = tuple(decorations)
-    wanted = tuple(_STAR_READ if d == STAR else d for d in decorations)
     groups: dict[tuple, list] = {}
     for code in necklaces(period):
         info = classify(code)
@@ -113,7 +109,7 @@ def decinv_table(
     rows = []
     for (kind, q, w), infos in groups.items():
         members = sorted((info.code for info in infos), key=_unimodal_key)
-        columns = zip(*(_Rays(m).values(wanted) for m in members))
+        columns = zip(*(_values(m, decorations) for m in members))
         values = []
         for d, vals in zip(decorations, columns):
             if any(v != vals[0] for v in vals):

@@ -88,15 +88,15 @@ def test_force(capsys):
 
 
 def test_one_evaluator_per_command(monkeypatch, capsys):
-    """force and rinv each read all their invariants from one evaluator."""
+    """force and rinv each read all their invariants from one scan."""
     built = []
-    init = invariants._Rays.__init__
+    keys = invariants._keys
 
-    def counted(rays, code):
+    def counted(code, plan):
         built.append(code)
-        init(rays, code)
+        return keys(code, plan)
 
-    monkeypatch.setattr(invariants._Rays, "__init__", counted)
+    monkeypatch.setattr(invariants, "_keys", counted)
     for argv, want in (
         (["force", "10010110", "11", "9/25"], "r=1/3 FORCED"),
         (["rinv", "100010111001010", "1"], "mu=1/4 nu=1/3 lambda=1/3 r=1/3"),
@@ -244,6 +244,18 @@ def test_bad_word_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["height", "10,01"])
     assert exc.value.code == 2
+    for argv, message in (
+        (["cq", "1/0"], "not a rational"),
+        (["cq", "x"], "not a rational"),
+        (["scope", "12"], "not a binary word"),
+        (["rstar", "10a"], "not a binary code"),
+        (["rstar", ""], "not a binary code"),
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 
 def test_bad_subcommand_exits_2(capsys):

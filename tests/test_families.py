@@ -108,7 +108,7 @@ def test_r_sequence():
 
 
 def test_r_sequence_matches_one_invariant_per_call():
-    """One evaluator per code gives what one r_w call per decoration gives."""
+    """One scan per code gives what one r_w call per decoration gives."""
     for n in range(1, 13):
         for code in necklaces(n):
             want = [r_w(ones_decoration(i), code) for i in range(5)]

@@ -12,10 +12,13 @@ from horseshoe.invariants import (
     FORWARD,
     NOT_FORCED,
     DomainError,
-    _Rays,
+    _compile,
+    _height,
+    _keys,
     _lam_windows,
     _mu_windows,
     _nu_windows,
+    _parts,
     forces,
     lam,
     mu,
@@ -112,6 +115,14 @@ def test_forces_domain():
         forces(EXAMPLE, "", F(1, 3))  # at the scope of the empty word
     with pytest.raises(DomainError):
         forces(EXAMPLE, "1", F(0, 1))
+    # the star token asks tables for r*, never the one-decoration functions
+    with pytest.raises(DomainError):
+        forces(EXAMPLE, STAR, F(1, 4))
+    for call in (r_w, mu):
+        with pytest.raises(DomainError):
+            call(STAR, EXAMPLE)
+    with pytest.raises(DomainError):
+        r_w(None, EXAMPLE)
 
 
 def test_rhe_is_half():
@@ -241,15 +252,14 @@ def test_scan_edge_cases_match_reference():
                 (),
             ]
             reads = tuple(product(window_sets, directions))
-            rays = _Rays(code)
-            got = [rays.height(k) for k in rays.keys(reads)]
+            got = [_height(k, N) for k in _keys(code, _compile(reads))]
             want = [_reference_r_dir(code, ws, d) for ws, d in reads]
             assert got == want, code
             for ws, d in reads[-18:]:
                 assert r_dir(code, ws, d) == _reference_r_dir(code, ws, d), (code, ws, d)
             assert_matches_reference(code, [""])
             assert [mu("", code), nu("", code), lam("", code), r_w("", code)] == list(
-                rays.parts("")
+                _parts("", code)
             )
             with pytest.raises(DomainError, match="sideways"):
-                rays.keys(((("1",), FORWARD), (("1", "0000000"), "sideways")))
+                _compile(((("1",), FORWARD), (("1", "0000000"), "sideways")))

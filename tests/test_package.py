@@ -1,4 +1,7 @@
-"""The package's star-import exports its public API and no submodule."""
+"""The package's star-import exports its public API and no submodule, and
+its caches are the ones listed here."""
+import importlib
+import pkgutil
 import types
 
 import horseshoe
@@ -18,13 +21,13 @@ PUBLIC = {
     "starlem_check",
     # invariants
     "AT_THRESHOLD", "BACKWARD", "BOTH", "FORCED", "FORWARD", "NOT_FORCED",
-    "forces", "lam", "mu", "nu", "r_dir", "r_star", "r_w", "rhe_is_half",
+    "STAR", "forces", "lam", "mu", "nu", "r_dir", "r_star", "r_w", "rhe_is_half",
     # orbits
     "DECORATED", "FINITE_ORDER", "FIXED_POINT", "NBT", "PERIOD_TWO", "REDUCIBLE",
     "Classification", "classify", "is_paired", "orbit_exists", "orbit_height",
     "q_in_Qw_sufficient", "reverse_orbit",
     # survey
-    "STAR", "DecInvTable", "TableRow", "decinv_table", "necklaces",
+    "DecInvTable", "TableRow", "decinv_table", "necklaces",
     "universality_sample", "universality_scan",
     # words
     "EQ", "GT", "LT", "DomainError", "Seq", "append_even", "canonical_code",
@@ -52,3 +55,25 @@ def test_all_names_resolve_and_cover_the_public_api():
     assert public == set(horseshoe.__all__)
     missing, extra = PUBLIC - public, public - PUBLIC
     assert not missing and not extra, (missing, extra)
+
+
+# Every lru_cache in the package with its bound.  A new cache is added here
+# together with the traffic that justifies it.
+CACHES = {
+    "disks._specs": 4096,
+    "entropy._certificate": 4096,
+    "height._cq": 4096,
+    "height.height": 1 << 17,
+    "height.scope": 1024,
+    "invariants._plan": 1024,
+}
+
+
+def test_cache_inventory():
+    found = {}
+    for info in pkgutil.iter_modules(horseshoe.__path__):
+        module = importlib.import_module(f"horseshoe.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert found == CACHES

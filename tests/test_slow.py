@@ -12,7 +12,7 @@ import pytest
 from horseshoe.disks import forcing_oracle
 from horseshoe.families import lone_catalog
 from horseshoe.height import height, height_oracle, scope
-from horseshoe.invariants import _Rays, r_w
+from horseshoe.invariants import _values, r_w
 from horseshoe.orbits import q_in_Qw_sufficient
 from horseshoe.survey import necklaces
 from horseshoe.words import GT, DomainError, Seq, canonical_code
@@ -89,7 +89,7 @@ def test_height_matches_oracle_periods_13_40():
 def test_invariants_match_reference_on_long_codes():
     """r* and the 21 lone r^w against one height per occurrence, n = 32-256.
 
-    The evaluator orders rays by N-bit keys sliced from one inverse Gray
+    The invariants order rays by N-bit keys sliced from one inverse Gray
     code of the doubled code; the reference reads every ray's height.  The
     21 r^w read from one plan also equal 21 one-decoration calls.
     """
@@ -102,7 +102,7 @@ def test_invariants_match_reference_on_long_codes():
         for _ in range(k):
             code = "".join(rng.choice("01") for _ in range(n))
             assert_matches_reference(code, decorations)
-            together = _Rays(code).values(tuple(decorations))
+            together = _values(code, tuple(decorations))
             assert together == [r_w(w, code) for w in decorations], code
         counts.append(f"{k * (1 + len(decorations))} at n = {n}")
     elapsed = time.perf_counter() - start

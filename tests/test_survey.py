@@ -140,7 +140,7 @@ def test_universality_sample_deterministic():
 
 
 def test_table_values_match_one_invariant_per_call():
-    """The table's shared evaluator per member agrees with r_star and r_w."""
+    """One scan per table member agrees with r_star and r_w."""
     for n in range(3, 13):
         table = decinv_table(n)
         assert table.decorations == _DEFAULT_DECORATIONS
