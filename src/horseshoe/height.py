@@ -9,12 +9,14 @@ height of the unimodal-greatest rotation of the cycle 10w0.  For each
 rational q = m/n in (0, 1/2] there is a palindromic word c_q of length n+1
 such that (c_q 0)^inf has height exactly q.
 
-Two independent routes to the height are provided: :func:`height` runs the
-run-length scanning algorithm, and :func:`height_oracle` binary-searches
-the Stern-Brocot tree using only unimodal comparisons against the words
-c_q.  They are checked against each other in the test suite.  Besides a
-Seq, :func:`height` takes a bare word w meaning w^inf, checked only when
-the cache misses, so the rays of a periodic orbit are passed as plain
+Two independent routes to the height are provided: :func:`height` scans a
+finite window of the sequence in chunks 0^kappa 1 1 and settles what the
+window leaves open, the constant tails 0^inf and 1^inf included, by the
+1-density of the repeating part; :func:`height_oracle` binary-searches the
+Stern-Brocot tree using only unimodal comparisons against the words c_q.
+They are checked against each other in the test suite.  Besides a Seq,
+:func:`height` takes a bare word w meaning w^inf, checked only when the
+cache misses, so the rays of a periodic orbit are passed as plain
 rotations of its code.
 """
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 
 from .words import (
     EQ,
@@ -35,7 +36,7 @@ from .words import (
 )
 
 HALF = Fraction(1, 2)
-_RUNS = re.compile("0+|1+")
+_CHUNK = re.compile("(0*)1(1?)")
 
 
 # One entry per q in lowest terms: an oracle_sweep benchmark pass asks about 350.
@@ -72,7 +73,7 @@ def finite_order_word(q: Fraction) -> str:
 
 def _zero_runs(word: str) -> list[int]:
     """Lengths of the maximal 0-runs of word, left to right."""
-    return [len(list(g)) for ch, g in groupby(word) if ch == "0"]
+    return [len(r) for r in word.split("1") if r]
 
 
 @lru_cache(maxsize=1 << 17)
@@ -82,11 +83,14 @@ def height(c: Seq | str) -> Fraction:
     A word must be a nonempty binary string; it is checked on a cache miss
     only, so the rays of periodic orbits can be passed as plain rotations.
 
-    Scans the runs of c, maintaining a shrinking rational interval [X, Y]
-    of heights compatible with what has been read so far.  A finite window
-    of the sequence (preperiod plus four full periods) always suffices: if
-    the scan is still alive at the end of the window the height is the
-    median of X, Y and the average 1-density of the repeating part.
+    Reads c after its leading 1 as chunks 0^kappa 1 1, maintaining a
+    shrinking rational interval [X, Y] of heights compatible with what has
+    been read so far; a lone 0^kappa 1 (a 1-run of odd length) pins the
+    height at Y.  A finite window of the sequence (preperiod plus four full
+    periods) always suffices, and a chunk that reaches the window's end is
+    not read.  If the scan is still alive there, the height is the median
+    of X, Y and half the 1-density of the repeating part; this also settles
+    the constant tails, 0^inf at X and 1^inf at Y.
     """
     if isinstance(c, str):
         pre, per = "", _check_word(c, allow_empty=False)
@@ -97,42 +101,17 @@ def height(c: Seq | str) -> Fraction:
     if window[0] == "0" or window[1] == "1":
         return HALF
     end = len(window)
-    tail_infinite = per in ("0", "1")
-    # The one run reaching the window's end is the infinite tail when
-    # tail_infinite holds, and otherwise a run the window may have cut short.
-    runs = _RUNS.finditer(window, 1)  # window[0] is the single leading 1
-
-    # X = xn/xd and Y = yn/yd bound the height from below and above;
-    # s counts completed chunks 0^kappa 1 1 and S sums their 0-run lengths
+    # X = xn/xd and Y = yn/yd bound the height from below and above; s counts
+    # the chunks read and S sums their 0-run lengths kappa
     xn, xd = 0, 1
     yn, yd = 1, 2
     s = 0
     S = 0
-    pending = 0
-    while True:
-        if pending:
-            run, run_inf = pending, False
-        else:
-            zeros = next(runs)
-            if zeros.end() == end:
-                if tail_infinite:
-                    return Fraction(xn, xd)  # the sequence ends 0^inf
-                break
-            S += zeros.end() - zeros.start()
-            ones = next(runs)
-            run_inf = ones.end() == end
-            if run_inf and not tail_infinite:
-                break
-            run = ones.end() - ones.start()
-        if run_inf:
-            # the sequence ends 1^inf
-            n2, d2 = s + 1, 2 * s + 1 + S
-            if n2 * xd <= xn * d2:
-                return Fraction(xn, xd)
-            if n2 * yd < yn * d2:
-                yn, yd = n2, d2
-            return Fraction(yn, yd) if 2 * yn < yd else HALF
+    for chunk in _CHUNK.finditer(window, 1):  # window[0] is the leading 1
+        if chunk.end() == end:
+            break  # the window may have cut this chunk short
         s += 1
+        S += chunk.end(1) - chunk.start(1)
         xd2 = 2 * s + S  # candidate x_s = s / (2s + S)
         yd2 = xd2 - 1  # candidate y_s = s / (2s - 1 + S)
         if s * xd <= xn * yd2:
@@ -143,9 +122,8 @@ def height(c: Seq | str) -> Fraction:
             xn, xd = s, xd2
         if s * yd < yn * yd2:
             yn, yd = s, yd2
-        if run == 1:
-            return Fraction(yn, yd)
-        pending = run - 2
+        if not chunk[2]:
+            return Fraction(yn, yd)  # a lone 1 ends an odd 1-run
 
     # window exhausted: pin the height by the periodic average
     an = per.count("1")

@@ -69,18 +69,14 @@ def _row_label(kind, q, w, members, infos) -> str:
         return finite_order_word(q) + "."
     if kind == NBT:
         return cq_word(q) + "."
-    c = cq_word(q)
-    if len(members) == 4:
-        return c + "." + w + "."
     if len(members) == 3:
-        return c + "." + w + "(.)"
+        return cq_word(q) + "." + w + "(.)"
+    # a symbol every member shares is printed, one they differ in is "."
     xs = {info.x for info in infos}
     ys = {info.y for info in infos}
-    if len(xs) == 1:
-        return c + next(iter(xs)) + w + "."
-    if len(ys) == 1:
-        return c + "." + w + next(iter(ys))
-    return c + "." + w + "."
+    x = xs.pop() if len(xs) == 1 else "."
+    y = ys.pop() if len(ys) == 1 else "."
+    return cq_word(q) + x + w + y
 
 
 _DEFAULT_DECORATIONS = (STAR, "", "0", "1", "00", "11", "000", "101", "111")

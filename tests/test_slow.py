@@ -86,6 +86,25 @@ def test_height_matches_oracle_periods_13_40():
           f"({trivial} of height 1/2), {elapsed:.1f} s")
 
 
+def test_height_matches_oracle_on_short_sequences():
+    """height against the Stern-Brocot oracle on every pre(per) with
+    |pre| <= 8, |per| <= 8 and |pre| + |per| <= 12, constant tails included."""
+    start = time.perf_counter()
+    seqs = {
+        Seq("".join(pre), "".join(per))
+        for n in range(1, 9)
+        for per in product("01", repeat=n)
+        for k in range(min(8, 12 - n) + 1)
+        for pre in product("01", repeat=k)
+    }
+    for s in seqs:
+        assert height(s) == height_oracle(s, max_den=64), str(s)
+    elapsed = time.perf_counter() - start
+    print(f"\nheight vs height_oracle, short pre(per): {len(seqs)} sequences "
+          f"agree, {elapsed:.1f} s")
+    assert len(seqs) == 20800
+
+
 def test_invariants_match_reference_on_long_codes():
     """r* and the 21 lone r^w against one height per occurrence, n = 32-256.
 
