@@ -62,7 +62,7 @@ def _show_word(w: str) -> str:
 
 
 def _emit(args, text_lines, payload) -> int:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(payload))
     else:
         for line in text_lines:
@@ -219,6 +219,9 @@ def _cmd_lone(args) -> int:
     )
 
 
+_POSITIONALS = dict(seq=_seq_arg, q=_fraction_arg, w=_word_arg, code=_code_arg, n=int)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horseshoe",
@@ -226,50 +229,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_):
+    def add(name, func, help_, *positionals):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
+        for arg in positionals:
+            p.add_argument(arg, type=_POSITIONALS[arg])
         return p
 
-    p = add("height", _cmd_height, "height of a sequence, e.g. 10111100(11)")
-    p.add_argument("seq", type=_seq_arg)
-
-    p = add("cq", _cmd_cq, "the word c_q for a rational 0 < q <= 1/2")
-    p.add_argument("q", type=_fraction_arg)
-
-    p = add("scope", _cmd_scope, "scope of a decoration word")
-    p.add_argument("w", type=_word_arg)
-
-    p = add("classify", _cmd_classify, "classify a periodic orbit code (JSON)")
-    p.add_argument("code", type=_code_arg)
-
-    p = add("rinv", _cmd_rinv, "decoration invariants mu, nu, lambda, r")
-    p.add_argument("code", type=_code_arg)
-    p.add_argument("w", type=_word_arg)
-
-    p = add("rstar", _cmd_rstar, "the star invariant of a code")
-    p.add_argument("code", type=_code_arg)
-
-    p = add("force", _cmd_force, "does the orbit force the w family at q?")
-    p.add_argument("code", type=_code_arg)
-    p.add_argument("w", type=_word_arg)
-    p.add_argument("q", type=_fraction_arg)
-
-    p = add("disks", _cmd_disks, "disk intersection counts and oracle verdict")
-    p.add_argument("code", type=_code_arg)
-    p.add_argument("w", type=_word_arg)
-    p.add_argument("q", type=_fraction_arg)
-
-    p = add("star", _cmd_star, "the star decoration w_q")
-    p.add_argument("q", type=_fraction_arg)
+    add("height", _cmd_height, "height of a sequence, e.g. 10111100(11)", "seq")
+    add("cq", _cmd_cq, "the word c_q for a rational 0 < q <= 1/2", "q")
+    add("scope", _cmd_scope, "scope of a decoration word", "w")
+    add("classify", _cmd_classify, "classify a periodic orbit code (JSON)", "code")
+    add("rinv", _cmd_rinv, "decoration invariants mu, nu, lambda, r", "code", "w")
+    add("rstar", _cmd_rstar, "the star invariant of a code", "code")
+    add(
+        "force", _cmd_force, "does the orbit force the w family at q?", "code", "w", "q"
+    )
+    add(
+        "disks", _cmd_disks, "disk intersection counts and oracle verdict",
+        "code", "w", "q",
+    )
+    add("star", _cmd_star, "the star decoration w_q", "q")
 
     p = add("family", _cmd_family, "odd-ones family: invariant sequence or pA test")
     p.add_argument("mode", choices=["r-seq", "pa"])
-    p.add_argument("code", type=_code_arg)
+    p.add_argument("code", type=_POSITIONALS["code"])
     p.add_argument("--imax", type=int, default=3)
 
-    p = add("entropy", _cmd_entropy, "entropy lower bound certificate")
-    p.add_argument("code", type=_code_arg)
+    p = add("entropy", _cmd_entropy, "entropy lower bound certificate", "code")
     p.add_argument("--imax", type=int, default=3)
 
     p = add("table", _cmd_table, "decoration invariant table for one period")
@@ -281,10 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
-    p = add("scan", _cmd_scan, "fraction of period-n orbits with r^w below q")
-    p.add_argument("w", type=_word_arg)
-    p.add_argument("q", type=_fraction_arg)
-    p.add_argument("n", type=int)
+    p = add(
+        "scan", _cmd_scan, "fraction of period-n orbits with r^w below q", "w", "q", "n"
+    )
     p.add_argument("--sample", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
 

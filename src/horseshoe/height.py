@@ -11,13 +11,13 @@ such that (c_q 0)^inf has height exactly q.
 
 Two independent routes to the height are provided: :func:`height` scans a
 finite window of the sequence in chunks 0^kappa 1 1 and settles what the
-window leaves open, the constant tails 0^inf and 1^inf included, by the
-1-density of the repeating part; :func:`height_oracle` binary-searches the
-Stern-Brocot tree using only unimodal comparisons against the words c_q.
-They are checked against each other in the test suite.  Besides a Seq,
-:func:`height` takes a bare word w meaning w^inf, checked only when the
-cache misses, so the rays of a periodic orbit are passed as plain
-rotations of its code.
+window leaves open, constant tails included, at its lower bound X if half
+the 1-density of the repeating part is at most X and at its upper bound Y
+otherwise; :func:`height_oracle` binary-searches the Stern-Brocot tree
+using only unimodal comparisons against the words c_q.  They are checked
+against each other in the test suite.  Besides a Seq, :func:`height` takes
+a bare word w meaning w^inf, checked only when the cache misses, so the
+rays of a periodic orbit are passed as plain rotations of its code.
 """
 from __future__ import annotations
 
@@ -65,15 +65,7 @@ def cq_word(q: Fraction) -> str:
 
 def finite_order_word(q: Fraction) -> str:
     """The word d_q: the first denominator(q) - 1 symbols of c_q."""
-    q = Fraction(q)
-    if not 0 < q <= HALF:
-        raise DomainError(f"d_q requires 0 < q <= 1/2, got {q}")
-    return _cq(q.numerator, q.denominator)[: q.denominator - 1]
-
-
-def _zero_runs(word: str) -> list[int]:
-    """Lengths of the maximal 0-runs of word, left to right."""
-    return [len(r) for r in word.split("1") if r]
+    return cq_word(q)[: Fraction(q).denominator - 1]
 
 
 @lru_cache(maxsize=1 << 17)
@@ -88,9 +80,9 @@ def height(c: Seq | str) -> Fraction:
     been read so far; a lone 0^kappa 1 (a 1-run of odd length) pins the
     height at Y.  A finite window of the sequence (preperiod plus four full
     periods) always suffices, and a chunk that reaches the window's end is
-    not read.  If the scan is still alive there, the height is the median
-    of X, Y and half the 1-density of the repeating part; this also settles
-    the constant tails, 0^inf at X and 1^inf at Y.
+    not read.  If the scan is still alive there, the height is X when half
+    the 1-density a of the repeating part satisfies a <= X, and Y otherwise;
+    this also settles the constant tails, 0^inf at X and 1^inf at Y.
     """
     if isinstance(c, str):
         pre, per = "", _check_word(c, allow_empty=False)
@@ -125,14 +117,15 @@ def height(c: Seq | str) -> Fraction:
         if not chunk[2]:
             return Fraction(yn, yd)  # a lone 1 ends an odd 1-run
 
-    # window exhausted: pin the height by the periodic average
+    # Window exhausted: a = an/ad, half per's 1-density, is never inside (X, Y).
+    # Unless per is all 0s (a = 0 <= X) or all 1s (a = 1/2 >= Y), its 1-runs
+    # are even (an odd one ends the scan at a lone 1), with p >= 1 pairs and P
+    # 0s, so a = p/(2p + P); its four periods' 8p 1s, all but the leading one
+    # read in pairs, make at least 4p chunks, and x_k < a < y_k needs
+    # kP < p*S_k < kP + p, which no integer S_k meets at k = p.
     an = per.count("1")
     ad = 2 * len(per)
-    if an * xd <= xn * ad:
-        return Fraction(xn, xd)
-    if an * yd >= yn * ad:
-        return Fraction(yn, yd)
-    return Fraction(an, ad)
+    return Fraction(xn, xd) if an * xd <= xn * ad else Fraction(yn, yd)
 
 
 def height_oracle(c: Seq, max_den: int = 64) -> Fraction:
@@ -154,26 +147,18 @@ def height_oracle(c: Seq, max_den: int = 64) -> Fraction:
     lo = Fraction(0, 1)
     hi = HALF
     bound = max(4 * max_den, 3 * (len(c.pre) + 4 * len(c.per) + 8))
-    result = None
-    while lo.denominator + hi.denominator <= bound:
-        mid = Fraction(
-            lo.numerator + hi.numerator, lo.denominator + hi.denominator
-        )
+    while True:
+        den = lo.denominator + hi.denominator
+        mid = Fraction(lo.numerator + hi.numerator, den)
         side = probe(mid)
-        if side == EQ:
-            result = mid
+        if side == EQ or den > bound:
+            # past the bound the height is lo or hi, and this probe separates them
+            result = mid if side == EQ else (lo if side == LT else hi)
             break
         if side == LT:
             hi = mid  # height <= mid
         else:
             lo = mid  # height >= mid
-    if result is None:
-        # the height is lo or hi; one more probe separates them
-        mid = Fraction(
-            lo.numerator + hi.numerator, lo.denominator + hi.denominator
-        )
-        side = probe(mid)
-        result = mid if side == EQ else (lo if side == LT else hi)
     if result.denominator > max_den:
         raise DomainError(
             f"height {result} exceeds certified denominator bound {max_den}"
@@ -210,7 +195,7 @@ def starlem_check(q: Fraction, r: int, f: Seq) -> bool:
     height at most q.
     """
     q = Fraction(q)
-    kappas = _zero_runs(cq_word(q))
+    kappas = [len(run) for run in cq_word(q).split("1") if run]
     if not 1 <= r <= len(kappas):
         raise DomainError(f"need 1 <= r <= {len(kappas)}, got {r}")
     word = (

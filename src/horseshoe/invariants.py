@@ -65,9 +65,7 @@ def _compile(reads: tuple) -> tuple:
             raise DomainError(f"unknown direction: {direction!r}")
         d = _DIRECTIONS.index(direction)
         for v in windows:
-            feeds = tables.setdefault(len(v), {}).setdefault(v, ([], [], []))[d]
-            if not feeds or feeds[-1] != i:  # a window repeated within one read
-                feeds.append(i)
+            tables.setdefault(len(v), {}).setdefault(v, ([], [], []))[d].append(i)
     return len(reads), tuple(
         (L, {v: tuple(map(tuple, feeds)) for v, feeds in table.items()})
         for L, table in tables.items()

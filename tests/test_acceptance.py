@@ -58,7 +58,8 @@ from horseshoe.cli import main
 from horseshoe.disks import _members
 from horseshoe.height import _cq
 from horseshoe.survey import wilson_interval
-from test_entropy import sturm_count
+from test_entropy import _pmul, sturm_count
+from test_height import CQ_TABLE
 
 F = Fraction
 
@@ -71,29 +72,6 @@ def _fractions_below(limit, max_den):
             if 0 < q < limit:
                 out.add(q)
     return sorted(out)
-
-
-CQ_TABLE = {
-    F(1, 3): "1001",
-    F(1, 4): "10001",
-    F(1, 5): "100001",
-    F(2, 5): "101101",
-    F(1, 6): "1000001",
-    F(1, 7): "10000001",
-    F(2, 7): "10011001",
-    F(3, 7): "10111101",
-    F(1, 8): "100000001",
-    F(3, 8): "101101101",
-    F(1, 9): "1000000001",
-    F(2, 9): "1000110001",
-    F(4, 9): "1011111101",
-    F(1, 10): "10000000001",
-    F(3, 10): "10011011001",
-    F(1, 11): "100000000001",
-    F(2, 11): "100001100001",
-    F(3, 11): "100110011001",
-    F(4, 11): "101101101101",
-}
 
 
 def test_ac01_itinerary_words():
@@ -167,14 +145,6 @@ def test_ac04_long_example_row():
     }
     for w, value in want.items():
         assert r_w(w, code) == value, (w, r_w(w, code), value)
-
-
-def _pmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def test_ac05_entropy_polynomials():

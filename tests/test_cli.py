@@ -258,6 +258,61 @@ def test_bad_word_exits_2(capsys):
         assert message in capsys.readouterr().err, argv
 
 
+# Each subcommand's positionals in usage order, a well-formed value of each
+# kind, and a malformed one with the start of its usage error.
+POSITIONALS = {
+    "height": ["seq"],
+    "cq": ["q"],
+    "scope": ["w"],
+    "classify": ["code"],
+    "rinv": ["code", "w"],
+    "rstar": ["code"],
+    "force": ["code", "w", "q"],
+    "disks": ["code", "w", "q"],
+    "star": ["q"],
+    "family": ["mode", "code"],
+    "entropy": ["code"],
+    "scan": ["w", "q", "n"],
+}
+WELL_FORMED = {
+    "seq": "10(1)", "q": "1/5", "w": "1", "code": "1001", "n": "6", "mode": "pa"
+}
+MALFORMED = {
+    "seq": ("10,01", "not a binary word"),
+    "q": ("x", "not a rational"),
+    "w": ("12", "not a binary word"),
+    "code": ("10a", "not a binary code"),
+    "n": ("x", "invalid int value"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [(c, n) for c, names in POSITIONALS.items() for n in names if n in MALFORMED],
+)
+def test_malformed_positional_exits_2(capsys, command, name):
+    bad, message = MALFORMED[name]
+    argv = [bad if n == name else WELL_FORMED[n] for n in POSITIONALS[command]]
+    with pytest.raises(SystemExit) as exc:
+        main([command] + argv)
+    assert exc.value.code == 2
+    assert f"argument {name}: {message}: {bad!r}" in capsys.readouterr().err
+
+
+def test_positionals_cover_every_subcommand(capsys):
+    """POSITIONALS lists every subcommand's positionals, in order."""
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out
+    commands = usage.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert set(commands) - set(POSITIONALS) == {"table", "lone"}
+    for command, names in POSITIONALS.items():
+        with pytest.raises(SystemExit):
+            main([command])
+        err = capsys.readouterr().err.strip()
+        assert err.endswith("required: " + ", ".join(names)), command
+
+
 def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
