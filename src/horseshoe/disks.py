@@ -6,10 +6,11 @@ member.  Whether a point of a periodic orbit lies in a disk is decided by
 two strict unimodal comparisons of its rays against periodic thresholds,
 each given as its repeating word.  Every sequence in such a comparison is
 periodic, so one window of N plus the longest threshold period decides them
-all: each ray and threshold is read as one integer key
-(:func:`words._unimodal_key`) at that window, and membership is an integer
-comparison.  Counting the orbit's points in each disk gives a forcing test
-that is independent of the invariant formula.
+all: each threshold is read as one integer key (:func:`words._unimodal_key`)
+at that window, the N forward ray keys are slices of one key of the code
+repeated, the N backward ray keys slices of one key of its reverse, and
+membership is an integer comparison.  Counting the orbit's points in each
+disk gives a forcing test that is independent of the invariant formula.
 """
 from __future__ import annotations
 
@@ -56,6 +57,24 @@ def disk_specs(w: str, q: Fraction) -> tuple[DiskSpec, ...]:
     return _specs(w, _check_in_scope(w, q))
 
 
+def _ray_keys(code: str, window: int) -> list[int]:
+    """The keys of the first window symbols of code^inf read from each p < |code|.
+
+    Each is a slice of one key of code repeated to |code| - 1 + window
+    symbols: bit j of that key is the parity of its first j + 1 symbols, so
+    the slice at p is complemented when the p symbols before it hold an odd
+    number of 1s.
+    """
+    length = len(code) - 1 + window
+    K = _unimodal_key((code * (length // len(code) + 1))[:length])
+    mask = (1 << window) - 1
+    flip = (0, mask)
+    return [
+        K >> (length - window - p) & mask ^ flip[K >> (length - p) & 1]
+        for p in range(len(code))
+    ]
+
+
 def _members(code: str, specs) -> list[tuple[bool | None, ...]]:
     """For each disk, whether each point of the orbit lies inside it.
 
@@ -64,7 +83,8 @@ def _members(code: str, specs) -> list[tuple[bool | None, ...]]:
     compare the forward ray and the backward ray of the previous point.
     Inside means both rays lie strictly above their thresholds.  A ray
     exactly on a threshold means the point lies on the family's boundary
-    orbit itself, and its entry is None.
+    orbit itself, and its entry is None.  The 2N ray keys are sliced from
+    two keys, one of the code and one of its reverse (:func:`_ray_keys`).
     """
     n = len(code)
     # Rays of a period-n code and a threshold t that agree on n + |t| symbols
@@ -74,10 +94,9 @@ def _members(code: str, specs) -> list[tuple[bool | None, ...]]:
     def key(word: str) -> int:
         return _unimodal_key((word * (window // len(word) + 1))[:window])
 
-    reps = code * (window // n + 2)
-    rev = reps[::-1]  # rev[n - p:] reads leftward from position p - 1
-    fwd = [_unimodal_key(reps[p:p + window]) for p in range(n)]
-    bwd = [_unimodal_key(rev[n - p:n - p + window]) for p in range(n)]
+    fwd = _ray_keys(code, window)
+    rb = _ray_keys(code[::-1], window)
+    bwd = [rb[-p] for p in range(n)]  # the ray at p reads the reverse from n - p
     rows = []
     for spec in specs:
         principal, shifted = key(spec.principal), key(spec.shifted)

@@ -40,6 +40,19 @@ def test_cq_domain_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["cq", "1/10000000"], ["star", "1/10000000"], ["disks", "10010110", "11", "1/10000000"]],
+    ids=["cq", "star", "disks"],
+)
+def test_huge_denominator_exits_1(capsys, argv):
+    # c_q costs time linear in the denominator, so it is refused, not built
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: c_q is limited to denominators up to 10000")
+
+
 def test_scope(capsys):
     code, out, _ = run(capsys, "scope", "11")
     assert code == 0

@@ -1,3 +1,5 @@
+import random
+import types
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -13,6 +15,7 @@ from horseshoe.disks import (
     in_disk,
     intersection_counts,
 )
+from horseshoe.families import lone_catalog
 from horseshoe.height import cq_word, scope
 from horseshoe.survey import necklaces
 from horseshoe.words import (
@@ -183,6 +186,81 @@ def test_counts_match_per_point_reference():
                         assert rows == _reference_rows(code, specs), (code, w, q)
                         ties += sum(row.count(None) for row in rows)
     assert (cases, boundary, ties) == (4899, 20, 40)
+
+
+def test_members_match_reference_on_long_codes():
+    """Sliced ray keys against per-point Seq rays past the exhaustive sweep.
+
+    Codes of length 9-80, each of the 21 lone w three times, and q with
+    denominators up to 200: windows wider than twice the period, keys wider
+    than 64 bits, and prefixes of both parities before a slice.
+    """
+    rng = random.Random(20261019)
+    decorations = lone_catalog(5)
+    assert len(decorations) == 21
+    wide = long_keys = odd = even = 0
+    for i in range(63):
+        w = decorations[i % 21]
+        n = rng.randint(9, 80)
+        code = "".join(rng.choice("01") for _ in range(n))
+        while True:
+            den = rng.randint(2, 200)
+            q = F(rng.randint(1, den // 2), den)
+            if q < scope(w):
+                break
+        specs = disk_specs(w, q)
+        assert _members(code, specs) == _reference_rows(code, specs), (code, w, q)
+        window = n + max(len(t) for spec in specs for t in (spec.principal, spec.shifted))
+        wide += window > 2 * n
+        long_keys += window > 64
+        parities = [code[:p].count("1") % 2 for p in range(n)]
+        odd += sum(parities)
+        even += n - sum(parities)
+    assert (wide, long_keys) == (42, 57)
+    assert odd > 0 and even > 0
+
+
+def test_members_make_two_ray_keys(monkeypatch):
+    """One key per direction and one per threshold, whatever the period."""
+    calls = []
+    key = disks._unimodal_key
+
+    def counted(word):
+        calls.append(word)
+        return key(word)
+
+    monkeypatch.setattr(disks, "_unimodal_key", counted)
+    specs = disk_specs("11", F(9, 25))
+    for n in (1, 2, 8, 33, 100):
+        calls.clear()
+        _members(("10010110" * 13)[:n], specs)
+        assert len(calls) == 2 + 8, n
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def test_oracle_shares_no_formula_code():
+    """The disk oracle neither binds nor calls the formula's key and scan helpers."""
+    formula = {"_rotation_keys", "_keys", "_plan", "_compile"}
+    assert not formula & set(vars(disks))
+    functions = [
+        getattr(f, "__wrapped__", f)
+        for f in vars(disks).values()
+        if callable(f) and getattr(f, "__module__", None) == disks.__name__
+    ]
+    names = {
+        name
+        for f in functions if hasattr(f, "__code__")
+        for code in _code_objects(f.__code__)
+        for name in code.co_names
+    }
+    assert {"_members", "_ray_keys", "_unimodal_key"} <= names
+    assert not formula & names
 
 
 def test_in_disk_reads_one_row_entry():

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 
 from horseshoe.families import lone_catalog
 from horseshoe.height import (
+    MAX_CQ_DENOMINATOR,
     DomainError,
     cq_word,
     finite_order_word,
@@ -72,6 +74,11 @@ def test_cq_domain():
         cq_word(F(0, 1))
     with pytest.raises(DomainError):
         cq_word(F(-1, 4))
+    assert len(cq_word(F(1, MAX_CQ_DENOMINATOR))) == MAX_CQ_DENOMINATOR + 1
+    with pytest.raises(DomainError, match="denominators up to"):
+        cq_word(F(1, MAX_CQ_DENOMINATOR + 1))
+    with pytest.raises(DomainError, match="denominators up to"):
+        finite_order_word(F(3, 10**7))
 
 
 def test_cq_monotone():
@@ -157,6 +164,17 @@ def test_height_oracle_matches_on_goldens():
     for text, want in HEIGHTS:
         c = Seq.parse(text)
         assert height_oracle(c, max_den=64) == want
+
+
+def test_height_oracle_probes_past_cq_limit(monkeypatch):
+    # the oracle's probe denominators follow the sequence's length, so the
+    # limit on c_q typed by a user does not refuse a long sequence
+    # (the package's name height is the function, so the module is imported)
+    monkeypatch.setattr(importlib.import_module("horseshoe.height"), "MAX_CQ_DENOMINATOR", 8)
+    with pytest.raises(DomainError):
+        cq_word(F(1, 9))
+    c = Seq.periodic("1001011")
+    assert height_oracle(c, max_den=64) == height(c) == F(1, 3)
 
 
 def test_height_oracle_domain():

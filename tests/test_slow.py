@@ -25,15 +25,15 @@ pytestmark = pytest.mark.slow
 F = Fraction
 
 
-def test_formula_matches_disk_oracle_periods_9_11():
-    """ac07's agreement check at periods 9 to 11, all 21 lone decorations.
+def test_formula_matches_disk_oracle_periods_9_12():
+    """ac07's agreement check at periods 9 to 12, all 21 lone decorations.
 
     Inputs on which the oracle raises DomainError (a point on the boundary
     orbit of the family) are counted apart, not compared.
     """
     decorations = lone_catalog(5)
     assert len(decorations) == 21
-    for n in (9, 10, 11):
+    for n in (9, 10, 11, 12):
         start = time.perf_counter()
         checked = refused = 0
         for code in necklaces(n):
