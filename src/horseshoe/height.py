@@ -40,6 +40,10 @@ _CHUNK = re.compile("(0*)1(1?)")
 # c_q is built symbol by symbol, in time linear in q's denominator: 2.4-2.6 ms
 # at this limit, 16-23 ms at 10^5 (Python 3.11.7); larger denominators are refused.
 MAX_CQ_DENOMINATOR = 10_000
+# height_oracle's cost grows with the square of the sequence's length: at most
+# 1.1 s at this limit, and up to 4.3 s at twice it (seeded random sequences with
+# max_den four times the length, Python 3.11.7); longer sequences are refused.
+MAX_ORACLE_LENGTH = 256
 
 
 # One entry per q in lowest terms: an oracle_sweep benchmark pass asks about 350.
@@ -142,10 +146,16 @@ def height_oracle(c: Seq, max_den: int = 64) -> Fraction:
     Uses nothing but unimodal comparisons of c against the periodic
     sequences (c_q 0)^inf, whose heights are exactly q.  Valid whenever
     the true height has denominator at most max_den; raises DomainError
-    if the answer cannot be certified within that bound.
+    if the answer cannot be certified within that bound, or if the
+    preperiod and period together are longer than MAX_ORACLE_LENGTH.
     """
     if max_den < 2:
         raise DomainError("max_den must be at least 2")
+    if len(c.pre) + len(c.per) > MAX_ORACLE_LENGTH:
+        raise DomainError(
+            f"height_oracle is limited to {MAX_ORACLE_LENGTH} symbols of preperiod"
+            f" and period, got {len(c.pre) + len(c.per)}"
+        )
 
     def probe(q: Fraction) -> int:
         # 0 < q <= 1/2, and the bound below, not MAX_CQ_DENOMINATOR, limits q

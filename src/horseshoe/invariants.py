@@ -56,8 +56,8 @@ def _compile(reads: tuple) -> tuple:
     """Compile reads, a tuple of (windows, direction), into one scan.
 
     Returns the number of reads and (L, table) pairs, one per window length
-    L, where table maps each window of length L to the reads it feeds as
-    (forward, backward, both) tuples of read indices.
+    L, where table maps each window of length L to the reads it feeds, as a
+    tuple of (read index, index of its direction in _DIRECTIONS) pairs.
     """
     tables: dict = {}
     for i, (windows, direction) in enumerate(reads):
@@ -65,9 +65,9 @@ def _compile(reads: tuple) -> tuple:
             raise DomainError(f"unknown direction: {direction!r}")
         d = _DIRECTIONS.index(direction)
         for v in windows:
-            tables.setdefault(len(v), {}).setdefault(v, ([], [], []))[d].append(i)
+            tables.setdefault(len(v), {}).setdefault(v, []).append((i, d))
     return len(reads), tuple(
-        (L, {v: tuple(map(tuple, feeds)) for v, feeds in table.items()})
+        (L, {v: tuple(feeds) for v, feeds in table.items()})
         for L, table in tables.items()
     )
 
@@ -138,18 +138,10 @@ def _keys(code: str, plan: tuple) -> list[int]:
                 continue
             # the backward ray at p is rotation (N - p) mod N of the reverse
             kf, kb = fwd[(p + L) % N], bwd[-p]
-            forward, backward, both = feeds
-            for i in forward:
-                if kf > best[i]:
-                    best[i] = kf
-            for i in backward:
-                if kb > best[i]:
-                    best[i] = kb
-            if both:
-                k = kb if kb < kf else kf
-                for i in both:
-                    if k > best[i]:
-                        best[i] = k
+            ks = (kf, kb, kb if kb < kf else kf)  # indexed like _DIRECTIONS
+            for i, d in feeds:
+                if ks[d] > best[i]:
+                    best[i] = ks[d]
     return best
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .height import HALF, _check_in_scope, cq_word, finite_order_word, height
+from .height import HALF, _check_in_scope, cq_word, height
 from .words import (
     DomainError,
     _check_word,
@@ -71,10 +71,10 @@ def classify(code: str) -> Classification:
     canonical code begins with c_q and factors as c_q x w y; the decoration
     w and the framing symbols x, y are reported.
     """
-    if not is_primitive(code):
-        raise DomainError(f"imprimitive code: {code}")
     word = canonical_code(code)
     N = len(word)
+    if N != len(code):
+        raise DomainError(f"imprimitive code: {code}")
     if N == 1:
         return Classification(word, 1, HALF, FIXED_POINT)
     if N == 2:
@@ -84,26 +84,21 @@ def classify(code: str) -> Classification:
     q = _canonical_height(word)
     n = q.denominator
     if N == n:
-        if not word.startswith(finite_order_word(q)):
-            raise DomainError(f"cannot classify code: {word}")
-        return Classification(word, N, q, FINITE_ORDER)
-    if N == n + 2 and q < HALF:
-        if not word.startswith(cq_word(q)):
-            raise DomainError(f"cannot classify code: {word}")
-        return Classification(word, N, q, NBT)
-    if N >= n + 3:
-        if not word.startswith(cq_word(q)):
-            raise DomainError(f"cannot classify code: {word}")
-        return Classification(
-            word,
-            N,
-            q,
-            DECORATED,
-            decoration=word[n + 2 : N - 1],
-            x=word[n + 1],
-            y=word[N - 1],
-        )
-    raise DomainError(f"cannot classify code: {word}")
+        kind = FINITE_ORDER
+    elif N == n + 2 and q < HALF:
+        kind = NBT
+    elif N >= n + 3:
+        kind = DECORATED
+    else:
+        kind = None
+    # each kind begins with c_q, or with d_q, its first n - 1 symbols, if N = n
+    if kind is None or not word.startswith(cq_word(q)[: min(N - 1, n + 1)]):
+        raise DomainError(f"cannot classify code: {word}")
+    if kind != DECORATED:
+        return Classification(word, N, q, kind)
+    return Classification(
+        word, N, q, kind, decoration=word[n + 2 : N - 1], x=word[n + 1], y=word[N - 1]
+    )
 
 
 def orbit_exists(q: Fraction, w: str) -> int:

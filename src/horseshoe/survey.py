@@ -105,16 +105,11 @@ def decinv_table(
     rows = []
     for (kind, q, w), infos in groups.items():
         members = sorted((info.code for info in infos), key=_unimodal_key)
-        columns = zip(*(_values(m, decorations) for m in members))
-        values = []
-        for d, vals in zip(decorations, columns):
-            if any(v != vals[0] for v in vals):
-                raise RuntimeError(
-                    f"group members disagree on {d!r}: {members} -> {list(vals)}"
-                )
-            values.append(vals[0])
+        member_rows = [_values(m, decorations) for m in members]
+        if any(row != member_rows[0] for row in member_rows):
+            raise RuntimeError(f"group members disagree: {members} -> {member_rows}")
         label = _row_label(kind, q, w, members, infos)
-        rows.append(TableRow(label, tuple(members), tuple(values)))
+        rows.append(TableRow(label, tuple(members), tuple(member_rows[0])))
     rows.sort(key=lambda row: _unimodal_key(row.members[0]))
     scope_row = tuple(HALF if d == STAR else scope(d) for d in decorations)
     return DecInvTable(period, decorations, scope_row, tuple(rows))

@@ -120,13 +120,6 @@ class Seq:
     def __str__(self) -> str:
         return f"{self.pre}({self.per})"
 
-    def __getitem__(self, i: int) -> str:
-        if i < 0:
-            raise IndexError(i)
-        if i < len(self.pre):
-            return self.pre[i]
-        return self.per[(i - len(self.pre)) % len(self.per)]
-
     def prefix(self, n: int) -> str:
         """The first n symbols as a string."""
         if n <= len(self.pre):

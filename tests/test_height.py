@@ -7,6 +7,7 @@ import pytest
 from horseshoe.families import lone_catalog
 from horseshoe.height import (
     MAX_CQ_DENOMINATOR,
+    MAX_ORACLE_LENGTH,
     DomainError,
     cq_word,
     finite_order_word,
@@ -183,6 +184,18 @@ def test_height_oracle_domain():
     # 1/7 is not representable with denominators up to 5
     with pytest.raises(DomainError):
         height_oracle(Seq.periodic("1000001"), max_den=5)
+
+
+def test_height_oracle_refuses_long_sequences():
+    # the limit counts preperiod and period after normalization
+    c = Seq.periodic("1" + "0" * (MAX_ORACLE_LENGTH - 1))
+    assert height_oracle(c, max_den=4 * MAX_ORACLE_LENGTH) == height(c)
+    for c in (
+        Seq.periodic("1" + "0" * MAX_ORACLE_LENGTH),
+        Seq("1" + "0" * MAX_ORACLE_LENGTH, "1"),
+    ):
+        with pytest.raises(DomainError, match="limited to"):
+            height_oracle(c, max_den=4 * MAX_ORACLE_LENGTH)
 
 
 def test_height_order_reversing_small():

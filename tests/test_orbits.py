@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from horseshoe import orbits
 from horseshoe.height import cq_word, finite_order_word
 from horseshoe.orbits import (
     DECORATED,
@@ -117,6 +118,23 @@ def test_classify_rejects_imprimitive():
         classify("1010")
     with pytest.raises(DomainError):
         classify("11")
+
+
+@pytest.mark.parametrize("q", [F(1, 8), F(1, 7), F(1, 6), F(1, 5)])
+def test_classify_refuses_codes_that_do_not_fit_their_height(monkeypatch, q):
+    # with every height forced to q, a period-8 code classifies only if it
+    # begins with d_q (finite order, n = 8) or c_q (NBT, n = 6; decorated,
+    # n = 5); no kind has period n + 1
+    monkeypatch.setattr(orbits, "_canonical_height", lambda code: q)
+    prefix = {8: finite_order_word(q), 6: cq_word(q), 5: cq_word(q)}.get(q.denominator)
+    fits = [code for code in necklaces(8) if prefix and code.startswith(prefix)]
+    assert len(fits) == {8: 2, 7: 0, 6: 2, 5: 4}[q.denominator]
+    for code in necklaces(8):
+        if code in fits:
+            assert classify(code).height == q
+        else:
+            with pytest.raises(DomainError, match="cannot classify"):
+                classify(code)
 
 
 def test_classify_roundtrip_on_necklaces():

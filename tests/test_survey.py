@@ -120,6 +120,20 @@ def test_table_custom_decorations():
         decinv_table(2)
 
 
+def test_table_refuses_a_group_whose_members_disagree(monkeypatch):
+    row = next(row for row in decinv_table(8).rows if len(row.members) > 1)
+    odd = row.members[-1]
+    values = survey._values
+
+    def skewed(code, decorations):
+        out = values(code, decorations)
+        return out[:-1] + [out[-1] / 2] if code == odd else out
+
+    monkeypatch.setattr(survey, "_values", skewed)
+    with pytest.raises(RuntimeError, match=f"disagree: .*'{odd}'"):
+        decinv_table(8)
+
+
 def test_universality_scan():
     frac = universality_scan("1", F(1, 3), 10)
     assert 0 < frac <= 1

@@ -89,12 +89,18 @@ def test_seq_parse_and_str():
 
 def test_seq_indexing_prefix_shift():
     s = Seq("10", "011")
-    assert [s[i] for i in range(8)] == list("10011011")
     assert s.prefix(8) == "10011011"
     assert s.prefix(2) == "10"
     assert s.prefix(0) == ""
-    with pytest.raises(IndexError):
-        s[-1]
+
+
+def test_seq_is_not_iterable():
+    # an infinite sequence has no end, so iteration and `in` must refuse
+    # rather than run forever
+    with pytest.raises(TypeError):
+        iter(Seq("", "1"))
+    with pytest.raises(TypeError):
+        "0" in Seq("", "1")
 
 
 @given(
