@@ -10,13 +10,15 @@ non-increasing in the unimodal order, so the least height over a set of
 rays is the height of its unimodal-greatest ray: each invariant compares
 integer unimodal keys and then makes one :func:`~horseshoe.height.height`
 call.  An invariant is a read, a set of windows with a direction.
-:func:`_plan` compiles the reads of a tuple of decorations (lam, mu and nu
-for each r^w, one read for r*) once per tuple, and :func:`_keys` walks the
-cyclic code once per window length in the plan, offering each occurrence's
-ray keys to every read its window feeds.  :func:`_values` turns those keys
-into r^w and r*, so tables, r-sequences and r_w read all invariants of a
-code from one scan; :func:`_parts` reads mu, nu and lam of one decoration
-from one scan, and r_dir compiles its own read.  Plans hold windows only,
+:func:`_plan` compiles the reads of a tuple of decorations once per tuple:
+lam, mu and nu for each r^w, capped at scope(w), and for r* a lam read of
+both rays at every position, capped at 1/2, with empty mu and nu reads.
+:func:`_keys` walks the cyclic code once per window length in the plan,
+offering each occurrence's ray keys to every read its window feeds.
+:func:`_values` turns each column's three keys and cap into r^w or r* by
+one rule, so tables, r-sequences and r_w read all invariants of a code from
+one scan; :func:`_parts` reads mu, nu and lam of one decoration from one
+scan, and r_dir compiles its own read.  Plans hold windows and caps only,
 so height's cache stays the one store of ray heights.
 """
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .height import _check_in_scope, height, scope
+from .height import HALF, _check_in_scope, height, scope
 from .words import (
     DomainError,
     _check_word,
@@ -47,9 +49,10 @@ NOT_FORCED = "NOT-FORCED"
 AT_THRESHOLD = "THRESHOLD"
 
 # The token that asks a table or _values for r* in place of a decoration;
-# r* reads both rays at every position.
+# r* is a lam read of both rays at every position, capped at 1/2, whose
+# empty mu and nu reads give key 0, so that max(lam, min(mu, nu)) is lam.
 STAR = "*"
-_STAR_READ = (("0", "1"), BOTH)
+_STAR_READS = ((("0", "1"), BOTH), ((), FORWARD), ((), BACKWARD))
 
 
 def _compile(reads: tuple) -> tuple:
@@ -97,28 +100,30 @@ def _lam_windows(w: str) -> tuple[str, ...]:
 # asks one.
 @lru_cache(maxsize=1024)
 def _plan(decorations: tuple) -> tuple:
-    """The compiled scan of r^w for each decoration w, as the reads lam, mu
-    and nu, and of r* where w is STAR."""
-    reads = []
+    """(caps, compiled scan) of the columns: for each decoration w, scope(w)
+    and the reads lam, mu and nu; for STAR, 1/2 and the reads of r*."""
+    caps, reads = [], []
     for w in decorations:
         if w == STAR:
-            reads.append(_STAR_READ)
+            caps.append(HALF)
+            reads += _STAR_READS
         else:
+            caps.append(scope(w))
             reads += [
                 (_lam_windows(w), BOTH),
                 (_mu_windows(w), FORWARD),
                 (_nu_windows(w), BACKWARD),
             ]
-    return _compile(tuple(reads))
+    return tuple(caps), _compile(tuple(reads))
 
 
-def _keys(code: str, plan: tuple) -> list[int]:
-    """The key of the unimodal-greatest ray of each read of the plan, or 0
+def _keys(code: str, scan: tuple) -> list[int]:
+    """The key of the unimodal-greatest ray of each read of the scan, or 0
     (0^N, height 1/2) for a read whose windows do not occur in the code.
 
     Rays are N-bit unimodal keys, which order distinct rays of period N
     exactly because they differ within N symbols.  The code is walked once
-    per window length in the plan; each start's window is looked up once
+    per window length in the scan; each start's window is looked up once
     and offers that occurrence's ray key to every read it feeds, the lesser
     of its two keys under "both".
     """
@@ -127,9 +132,9 @@ def _keys(code: str, plan: tuple) -> list[int]:
     # the forward ray at i reads the code from i; the backward ray at p
     # reads leftward from p - 1, which is the reverse from N - p
     fwd, bwd = _rotation_keys(code), _rotation_keys(code[::-1])
-    n_reads, scans = plan
+    n_reads, tables = scan
     best = [0] * n_reads
-    for L, table in scans:
+    for L, table in tables:
         doubled = code * (L // N + 2)
         get = table.get
         for p in range(N):
@@ -153,24 +158,22 @@ def _height(key: int, N: int) -> Fraction:
 
 def _values(code: str, decorations: tuple) -> list[Fraction]:
     """r^w for each decoration w, and r* where w is STAR, from one scan."""
-    keys = iter(_keys(code, _plan(decorations)))
+    caps, scan = _plan(decorations)
+    keys = iter(_keys(code, scan))
     N = len(code)
-    out = []
-    for w in decorations:
-        if w == STAR:
-            out.append(_height(next(keys), N))
-        else:
-            # min(lam, max(mu, nu)) over heights is max(lam, min(mu, nu)) over keys
-            lam_, mu_, nu_ = next(keys), next(keys), next(keys)
-            out.append(min(scope(w), _height(max(lam_, min(mu_, nu_)), N)))
-    return out
+    # min(lam, max(mu, nu)) over heights is max(lam, min(mu, nu)) over keys
+    return [
+        min(cap, _height(max(lam_, min(mu_, nu_)), N))
+        for cap, lam_, mu_, nu_ in zip(caps, keys, keys, keys)
+    ]
 
 
 def _parts(w: str, code: str) -> tuple[Fraction, ...]:
     """(mu, nu, lam, r^w) of one decoration, from one scan."""
     _check_word(w)
-    lam_, mu_, nu_ = _keys(code, _plan((w,)))
-    s, N = scope(w), len(code)
+    (s,), scan = _plan((w,))
+    lam_, mu_, nu_ = _keys(code, scan)
+    N = len(code)
     m, n, l_ = (min(s, _height(k, N)) for k in (mu_, nu_, lam_))
     return m, n, l_, min(l_, max(m, n))
 
@@ -182,8 +185,8 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
     forward ray leaving its right end and a backward ray leaving its left
     end; "both" takes the larger of the two heights before minimizing.
     """
-    plan = _compile(((tuple(windows), direction),))
-    return _height(_keys(code, plan)[0], len(code))
+    scan = _compile(((tuple(windows), direction),))
+    return _height(_keys(code, scan)[0], len(code))
 
 
 def mu(w: str, code: str) -> Fraction:

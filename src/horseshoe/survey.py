@@ -11,15 +11,25 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
-from .height import HALF, _check_in_scope, cq_word, finite_order_word, scope
-from .invariants import STAR, _values, r_w
+from .height import _check_in_scope, cq_word, finite_order_word
+from .invariants import STAR, _plan, _values, r_w
 from .orbits import FINITE_ORDER, NBT, classify
 from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 
-# Exact tables and scans enumerate about 2^n / n necklaces (necklaces(20)
-# takes over a second), so longer necklaces are refused; sample them instead.
+# Exact tables and scans enumerate about 2^n / n necklaces (necklaces(20) took
+# 0.9 s and necklaces(24) 12 s, Python 3.11.7), so longer necklaces are
+# refused; sample them instead.
 MAX_EXACT_PERIOD = 24
+# A sampled orbit's scan holds 2n ray keys of n bits, so its memory grows as
+# n^2: one sample took 19 ms and 20 MB peak RSS at this limit, and 0.24 s and
+# 82 MB at n = 16,000 (Python 3.11.7); longer periods are refused.
+MAX_SAMPLE_PERIOD = 4096
+# k samples of period n draw k * n symbols; at this budget a sampled scan took
+# 17 s at n = 4,096 and 68 s at n = 1, where each sample's fixed cost dominates
+# (Python 3.11.7, 32 MB peak RSS at most); larger budgets are refused.
+MAX_SAMPLE_SYMBOLS = 1 << 22
 # Width of the Wilson intervals around sampled shares, in standard deviations.
 _WILSON_Z = 3
 
@@ -34,16 +44,16 @@ def necklaces(n: int) -> list[str]:
             f"exact enumeration is limited to period {MAX_EXACT_PERIOD}, got {n};"
             " estimate larger periods with scan --sample"
         )
+    # Lyndon words in lexicographic order: repeat to length n, drop the
+    # trailing 1s, and raise the last 0 to 1
     out = []
-    w = [0]
+    w = "0"
     while w:
         if len(w) == n:
-            out.append(canonical_code("".join("01"[b] for b in w)))
-        w = [w[i % len(w)] for i in range(n)]
-        while w and w[-1] == 1:
-            w.pop()
+            out.append(canonical_code(w))
+        w = (w * (n // len(w) + 1))[:n].rstrip("1")
         if w:
-            w[-1] += 1
+            w = w[:-1] + "1"
     return out
 
 
@@ -111,8 +121,7 @@ def decinv_table(
         label = _row_label(kind, q, w, members, infos)
         rows.append(TableRow(label, tuple(members), tuple(member_rows[0])))
     rows.sort(key=lambda row: _unimodal_key(row.members[0]))
-    scope_row = tuple(HALF if d == STAR else scope(d) for d in decorations)
-    return DecInvTable(period, decorations, scope_row, tuple(rows))
+    return DecInvTable(period, decorations, _plan(decorations)[0], tuple(rows))
 
 
 def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
@@ -122,8 +131,7 @@ def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
     """
     q = _check_in_scope(w, q)
     codes = necklaces(n)
-    hits = sum(1 for code in codes if r_w(w, code) < q)
-    return Fraction(hits, len(codes))
+    return Fraction(sum(r_w(w, c) < q for c in codes), len(codes))
 
 
 # rng.choice("01") keeps the top two bits of one 32-bit generator output and
@@ -151,20 +159,23 @@ def _random_word(rng: random.Random, n: int) -> str:
 def universality_sample(
     w: str, q: Fraction, n: int, k: int, seed: int = 0
 ) -> Fraction:
-    """Like the scan, estimated from k orbits drawn uniformly at random."""
+    """Like the scan, estimated from k orbits drawn uniformly at random.
+
+    Periods above MAX_SAMPLE_PERIOD, and k * n above MAX_SAMPLE_SYMBOLS,
+    raise DomainError before any orbit is drawn.
+    """
     q = _check_in_scope(w, q)
     if n < 1 or k < 1:
         raise DomainError("need a positive period and sample size")
+    if n > MAX_SAMPLE_PERIOD:
+        raise DomainError(f"sampling is limited to period {MAX_SAMPLE_PERIOD}, got {n}")
+    if k * n > MAX_SAMPLE_SYMBOLS:
+        raise DomainError(
+            f"sampling is limited to {MAX_SAMPLE_SYMBOLS} symbols (k * n), got {k * n}"
+        )
     rng = random.Random(seed)
-    hits = 0
-    for _ in range(k):
-        while True:
-            word = _random_word(rng, n)
-            if is_primitive(word):
-                break
-        if r_w(w, word) < q:
-            hits += 1
-    return Fraction(hits, k)
+    codes = islice(filter(is_primitive, (_random_word(rng, n) for _ in count())), k)
+    return Fraction(sum(r_w(w, c) < q for c in codes), k)
 
 
 def wilson_interval(p, k: int) -> tuple[float, float]:

@@ -179,8 +179,11 @@ def test_height_oracle_probes_past_cq_limit(monkeypatch):
 
 
 def test_height_oracle_domain():
-    with pytest.raises(DomainError):
-        height_oracle(Seq.periodic("10010"), max_den=1)
+    # max_den = 4 * MAX_ORACLE_LENGTH runs in the test below; above it the
+    # descent's cost, quadratic in max_den, is refused
+    for max_den in (1, 4 * MAX_ORACLE_LENGTH + 1):
+        with pytest.raises(DomainError, match="max_den must lie between"):
+            height_oracle(Seq.periodic("10010"), max_den=max_den)
     # 1/7 is not representable with denominators up to 5
     with pytest.raises(DomainError):
         height_oracle(Seq.periodic("1000001"), max_den=5)

@@ -5,11 +5,13 @@ import pytest
 
 from horseshoe import survey
 from horseshoe.cli import main
-from horseshoe.height import height, scope
+from horseshoe.height import HALF, height, scope
 from horseshoe.invariants import _plan, r_star, r_w
 from horseshoe.survey import (
     _DEFAULT_DECORATIONS,
     MAX_EXACT_PERIOD,
+    MAX_SAMPLE_PERIOD,
+    MAX_SAMPLE_SYMBOLS,
     STAR,
     DomainError,
     _random_word,
@@ -50,7 +52,7 @@ def test_necklace_counts():
 
 
 def test_necklaces_are_canonical_and_complete():
-    for n in range(1, 9):
+    for n in range(1, 13):
         got = set(necklaces(n))
         brute = {
             canonical_code(format(k, f"0{n}b"))
@@ -218,4 +220,41 @@ def test_table_compiles_one_plan():
     table = decinv_table(10)
     assert sum(len(row.members) for row in table.rows) == len(necklaces(10))
     info = _plan.cache_info()
-    assert (info.misses, info.hits) == (1, len(necklaces(10)) - 1)
+    assert (info.misses, info.hits) == (1, len(necklaces(10)))
+
+
+def test_scope_row_follows_the_decorations():
+    """Each column keeps its own cap when r* is not first: the scope row
+    reads 1/2 for r* and scope(w) for r^w, and so do the values."""
+    table = decinv_table(5, ("1", STAR, ""))
+    assert table.scope_row == (scope("1"), HALF, scope(""))
+    for row in table.rows:
+        for m in row.members:
+            assert row.values == (r_w("1", m), r_star(m), r_w("", m)), m
+
+
+def test_sample_refused_above_limits(monkeypatch, capsys):
+    """Sampled scans refuse periods above MAX_SAMPLE_PERIOD and k * n above
+    MAX_SAMPLE_SYMBOLS before drawing a word; both limits themselves run."""
+    q = F(1, 3)
+    assert 0 <= universality_sample("1", q, MAX_SAMPLE_PERIOD, 1) <= 1
+    k = MAX_SAMPLE_SYMBOLS // MAX_SAMPLE_PERIOD
+    monkeypatch.setattr(survey, "r_w", lambda w, code: F(0))
+    assert universality_sample("1", q, MAX_SAMPLE_PERIOD, k) == 1
+
+    def refuse(rng, n):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(survey, "_random_word", refuse)
+    for n, size in (
+        (MAX_SAMPLE_PERIOD + 1, 1),
+        (MAX_SAMPLE_PERIOD, k + 1),
+        (1, MAX_SAMPLE_SYMBOLS + 1),
+    ):
+        with pytest.raises(DomainError, match="sampling is limited to"):
+            universality_sample("1", q, n, size)
+    for n, size in ((10**6, 1), (64, MAX_SAMPLE_SYMBOLS)):
+        assert main(["scan", "1", "1/3", str(n), "--sample", str(size)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "sampling is limited to" in err
