@@ -215,7 +215,8 @@ def entropy_certificate(
     Returns (polynomial, root, log root) for the index whose Hbar root is
     largest, or None when no invariant drops below 1/2.  The root is a lower
     bound for the largest root of the polynomial and the log a lower bound
-    for its logarithm.
+    for its logarithm.  Indices above families.MAX_ONES_INDEX raise
+    DomainError.
     """
     best = None
     for i, r in enumerate(r_sequence(code, i_max)):

@@ -13,6 +13,13 @@ from .height import HALF, cq_word
 from .invariants import _values
 from .words import DomainError, canonical_code
 
+# r_sequence compiles one plan over the decorations 1, 111, ..., 1^(2 i_max + 1),
+# whose windows total O(i_max^3) symbols, and _plan's cache keeps it.  At this
+# limit r_sequence("10011010", i_max) took 0.16 s and 23 MB peak RSS, pa_test
+# on a random code of length 264 0.18 s, and entropy_certificate("100111111",
+# i_max) 0.79 s; at i_max = 256 they took 0.84 s and 57 MB, 0.82 s and 4.2 s
+# (Python 3.11.7); larger indices are refused.
+MAX_ONES_INDEX = 128
 
 def star_decoration(q: Fraction) -> str:
     """The decoration w_q: c_q with its first and last two symbols removed."""
@@ -50,9 +57,16 @@ def interwi_expected(i: int, j: int, q: Fraction) -> Fraction:
 
 
 def r_sequence(code: str, i_max: int) -> list[Fraction]:
-    """The invariants of the odd-ones decorations 1, 111, ... on one code."""
+    """The invariants of the odd-ones decorations 1, 111, ... on one code.
+
+    Indices above MAX_ONES_INDEX raise DomainError before any plan is compiled.
+    """
     if i_max < 0:
         raise DomainError(f"i_max must be nonnegative, got {i_max}")
+    if i_max > MAX_ONES_INDEX:
+        raise DomainError(
+            f"odd-ones indices are limited to {MAX_ONES_INDEX}, got i_max = {i_max}"
+        )
     return _values(code, tuple(ones_decoration(i) for i in range(i_max + 1)))
 
 
@@ -62,6 +76,7 @@ def pa_test(code: str) -> str:
     Returns "Certified" when some strict drop r^i < r^(i-1) occurs with
     i at most max(1, (N-7)//2) and the largest proper divisor of the
     period N is less than denominator(r^i) + 2i + 4; otherwise "Unknown".
+    Codes longer than 2 * MAX_ONES_INDEX + 8 raise DomainError.
     """
     code = canonical_code(code)
     N = len(code)

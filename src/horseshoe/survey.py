@@ -13,23 +13,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-from .height import _check_in_scope, cq_word, finite_order_word
+from .height import _check_in_scope
 from .invariants import STAR, _plan, _values, r_w
-from .orbits import FINITE_ORDER, NBT, classify
+from .orbits import classify
 from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 
 # Exact tables and scans enumerate about 2^n / n necklaces (necklaces(20) took
-# 0.9 s and necklaces(24) 12 s, Python 3.11.7), so longer necklaces are
-# refused; sample them instead.
+# 0.8-1.0 s over seven runs and necklaces(24) 12 s, Python 3.11.7), so longer
+# necklaces are refused; sample them instead.
 MAX_EXACT_PERIOD = 24
 # A sampled orbit's scan holds 2n ray keys of n bits, so its memory grows as
 # n^2: one sample took 19 ms and 20 MB peak RSS at this limit, and 0.24 s and
 # 82 MB at n = 16,000 (Python 3.11.7); longer periods are refused.
 MAX_SAMPLE_PERIOD = 4096
-# k samples of period n draw k * n symbols; at this budget a sampled scan took
-# 17 s at n = 4,096 and 68 s at n = 1, where each sample's fixed cost dominates
-# (Python 3.11.7, 32 MB peak RSS at most); larger budgets are refused.
+# k samples of period n cost about as much as k * (n + _SAMPLE_OVERHEAD) symbols:
+# a least-squares fit over n = 1 .. 256 gave 20-25 us per sample and 1.6-1.8 us
+# per symbol.  At this budget a sampled scan took 5.3 s at n = 1, 6.7 s at
+# n = 64 and 17 s at n = 4,096, where the 2n keys of n bits cost more per
+# symbol (Python 3.11.7, 30 MB peak RSS at most); larger budgets are refused.
 MAX_SAMPLE_SYMBOLS = 1 << 22
+_SAMPLE_OVERHEAD = 12
 # Width of the Wilson intervals around sampled shares, in standard deviations.
 _WILSON_Z = 3
 
@@ -72,21 +75,11 @@ class DecInvTable:
     rows: tuple[TableRow, ...]
 
 
-def _row_label(kind, q, w, members, infos) -> str:
-    if len(members) == 1:
-        return members[0]
-    if kind == FINITE_ORDER:
-        return finite_order_word(q) + "."
-    if kind == NBT:
-        return cq_word(q) + "."
-    if len(members) == 3:
-        return cq_word(q) + "." + w + "(.)"
-    # a symbol every member shares is printed, one they differ in is "."
-    xs = {info.x for info in infos}
-    ys = {info.y for info in infos}
-    x = xs.pop() if len(xs) == 1 else "."
-    y = ys.pop() if len(ys) == 1 else "."
-    return cq_word(q) + x + w + y
+def _row_label(members: list[str]) -> str:
+    """The symbols every member shares, with "." where they differ; a row of
+    three of the four spellings c_q x w y ends in "(.)" instead of "."."""
+    label = "".join(c[0] if len(set(c)) == 1 else "." for c in zip(*members))
+    return label[:-1] + "(.)" if len(members) == 3 else label
 
 
 _DEFAULT_DECORATIONS = (STAR, "", "0", "1", "00", "11", "000", "101", "111")
@@ -98,27 +91,27 @@ def decinv_table(
     """Invariants of every orbit of one period, grouped into table rows.
 
     Orbits sharing kind, height, and decoration form one row; their
-    invariants are required to agree.  Rows are ordered by the unimodal
-    order of each row's least member, and the table carries a leading
-    row of scopes ("*" marks the star invariant, whose scope is 1/2).
-    Periods above MAX_EXACT_PERIOD raise DomainError.
+    invariants are required to agree.  A row's label shows the symbol its
+    members share at each position, or "." where they differ; a row of
+    three of the four spellings c_q x w y ends in "(.)" instead.  Rows are
+    ordered by the unimodal order of each row's least member, and the table
+    carries a leading row of scopes ("*" marks the star invariant, whose
+    scope is 1/2).  Periods above MAX_EXACT_PERIOD raise DomainError.
     """
     if period < 3:
         raise DomainError(f"table requires period at least 3, got {period}")
     decorations = tuple(decorations)
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, list[str]] = {}
     for code in necklaces(period):
         info = classify(code)
-        groups.setdefault((info.kind, info.height, info.decoration), []).append(
-            info
-        )
+        groups.setdefault((info.kind, info.height, info.decoration), []).append(code)
     rows = []
-    for (kind, q, w), infos in groups.items():
-        members = sorted((info.code for info in infos), key=_unimodal_key)
+    for members in groups.values():
+        members.sort(key=_unimodal_key)
         member_rows = [_values(m, decorations) for m in members]
         if any(row != member_rows[0] for row in member_rows):
             raise RuntimeError(f"group members disagree: {members} -> {member_rows}")
-        label = _row_label(kind, q, w, members, infos)
+        label = _row_label(members)
         rows.append(TableRow(label, tuple(members), tuple(member_rows[0])))
     rows.sort(key=lambda row: _unimodal_key(row.members[0]))
     return DecInvTable(period, decorations, _plan(decorations)[0], tuple(rows))
@@ -161,17 +154,19 @@ def universality_sample(
 ) -> Fraction:
     """Like the scan, estimated from k orbits drawn uniformly at random.
 
-    Periods above MAX_SAMPLE_PERIOD, and k * n above MAX_SAMPLE_SYMBOLS,
-    raise DomainError before any orbit is drawn.
+    Periods above MAX_SAMPLE_PERIOD, and k * (n + _SAMPLE_OVERHEAD) above
+    MAX_SAMPLE_SYMBOLS, raise DomainError before any orbit is drawn.
     """
     q = _check_in_scope(w, q)
     if n < 1 or k < 1:
         raise DomainError("need a positive period and sample size")
     if n > MAX_SAMPLE_PERIOD:
         raise DomainError(f"sampling is limited to period {MAX_SAMPLE_PERIOD}, got {n}")
-    if k * n > MAX_SAMPLE_SYMBOLS:
+    cost = k * (n + _SAMPLE_OVERHEAD)
+    if cost > MAX_SAMPLE_SYMBOLS:
         raise DomainError(
-            f"sampling is limited to {MAX_SAMPLE_SYMBOLS} symbols (k * n), got {k * n}"
+            f"sampling is limited to {MAX_SAMPLE_SYMBOLS} symbols"
+            f" (k * (n + {_SAMPLE_OVERHEAD})), got {cost}"
         )
     rng = random.Random(seed)
     codes = islice(filter(is_primitive, (_random_word(rng, n) for _ in count())), k)

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from horseshoe.cli import main
+from horseshoe.entropy import entropy_certificate, entropy_lower_bound
 from horseshoe.families import (
+    MAX_ONES_INDEX,
     DomainError,
     interwi_expected,
     lone_catalog,
@@ -13,7 +16,7 @@ from horseshoe.families import (
     starforce_expected,
 )
 from horseshoe.height import cq_word, scope
-from horseshoe.invariants import r_w
+from horseshoe.invariants import _plan, r_w
 from horseshoe.survey import necklaces
 from horseshoe.words import canonical_code
 
@@ -120,6 +123,45 @@ def test_pa_test():
     assert pa_test("10") == "Unknown"
     assert pa_test("1000001") == "Unknown"
     assert pa_test("1") == "Unknown"
+
+
+def test_ones_index_refused_above_limit(monkeypatch, capsys):
+    """r_sequence, and pa_test and the entropy certificates through it, refuse
+    odd-ones indices above MAX_ONES_INDEX before compiling a plan; the limit
+    itself runs."""
+    code = "10011010"
+    longest = "1" + "0" * (2 * MAX_ONES_INDEX + 7)
+    _plan.cache_clear()
+    for refused in (
+        lambda: r_sequence(code, MAX_ONES_INDEX + 1),
+        lambda: pa_test(longest + "0"),
+        lambda: entropy_certificate(code, MAX_ONES_INDEX + 1),
+        lambda: entropy_lower_bound(code, MAX_ONES_INDEX + 1),
+    ):
+        with pytest.raises(DomainError, match=f"limited to {MAX_ONES_INDEX}"):
+            refused()
+    for argv in (
+        ["family", "r-seq", code, "--imax", str(MAX_ONES_INDEX + 1)],
+        ["family", "pa", longest + "0"],
+        ["entropy", code, "--imax", str(MAX_ONES_INDEX + 1)],
+    ):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"limited to {MAX_ONES_INDEX}" in err
+    assert _plan.cache_info().misses == 0
+
+    seen = []
+
+    def values(code, decorations):
+        seen.append(len(decorations))
+        return [F(1, 2)] * len(decorations)
+
+    monkeypatch.setattr("horseshoe.families._values", values)
+    assert len(r_sequence(code, MAX_ONES_INDEX)) == MAX_ONES_INDEX + 1
+    assert pa_test(longest) == "Unknown"
+    assert entropy_certificate(code, MAX_ONES_INDEX) is None
+    assert seen == [MAX_ONES_INDEX + 1] * 3
 
 
 def test_lone_catalog():

@@ -18,6 +18,7 @@ from horseshoe.survey import necklaces
 from horseshoe.words import GT, DomainError, Seq, canonical_code
 from test_height import _reference_scope
 from test_invariants import assert_matches_reference
+from test_survey import assert_labels_match_reference
 from test_words import _reference_cmp
 
 pytestmark = pytest.mark.slow
@@ -161,3 +162,12 @@ def test_canonical_code_matches_reference_lengths_13_15():
     print(f"\ncanonical_code vs reference order, lengths 13-15: {checked} words "
           f"agree, {elapsed:.1f} s")
     assert checked == 2**13 + 2**14 + 2**15
+
+
+def test_row_labels_match_reference_periods_15_18():
+    """test_survey.test_row_labels_match_reference at periods 15 to 18."""
+    start = time.perf_counter()
+    checked = assert_labels_match_reference(range(15, 19))
+    elapsed = time.perf_counter() - start
+    print(f"\nrow labels vs reference, periods 15-18: {checked} rows agree, "
+          f"{elapsed:.1f} s")

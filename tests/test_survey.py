@@ -5,10 +5,12 @@ import pytest
 
 from horseshoe import survey
 from horseshoe.cli import main
-from horseshoe.height import HALF, height, scope
+from horseshoe.height import HALF, cq_word, finite_order_word, height, scope
 from horseshoe.invariants import _plan, r_star, r_w
+from horseshoe.orbits import FINITE_ORDER, NBT, classify
 from horseshoe.survey import (
     _DEFAULT_DECORATIONS,
+    _SAMPLE_OVERHEAD,
     MAX_EXACT_PERIOD,
     MAX_SAMPLE_PERIOD,
     MAX_SAMPLE_SYMBOLS,
@@ -102,6 +104,41 @@ def test_period8_table():
     for row, (label, values) in zip(table.rows, EXPECTED_PERIOD8):
         assert row.label == label
         assert [str(v) for v in row.values] == values
+
+
+def _reference_label(members):
+    """A row's label spelled from classify's kind, height, decoration and
+    framing symbols x and y, one branch per shape of row."""
+    infos = [classify(m) for m in members]
+    kind, q, w = infos[0].kind, infos[0].height, infos[0].decoration
+    if len(members) == 1:
+        return members[0]
+    if kind == FINITE_ORDER:
+        return finite_order_word(q) + "."
+    if kind == NBT:
+        return cq_word(q) + "."
+    if len(members) == 3:
+        return cq_word(q) + "." + w + "(.)"
+    xs = {info.x for info in infos}
+    ys = {info.y for info in infos}
+    x = xs.pop() if len(xs) == 1 else "."
+    y = ys.pop() if len(ys) == 1 else "."
+    return cq_word(q) + x + w + y
+
+
+def assert_labels_match_reference(periods) -> int:
+    """Checks every row of the periods' tables; returns how many there were."""
+    checked = 0
+    for n in periods:
+        for row in decinv_table(n, ()).rows:
+            assert row.label == _reference_label(row.members), (n, row.members)
+            checked += 1
+    return checked
+
+
+def test_row_labels_match_reference():
+    """The shared-symbols rule labels every row as the per-kind branches do."""
+    assert_labels_match_reference(range(3, 15))
 
 
 def test_table_group_sizes():
@@ -234,11 +271,12 @@ def test_scope_row_follows_the_decorations():
 
 
 def test_sample_refused_above_limits(monkeypatch, capsys):
-    """Sampled scans refuse periods above MAX_SAMPLE_PERIOD and k * n above
-    MAX_SAMPLE_SYMBOLS before drawing a word; both limits themselves run."""
+    """Sampled scans refuse periods above MAX_SAMPLE_PERIOD and
+    k * (n + _SAMPLE_OVERHEAD) above MAX_SAMPLE_SYMBOLS before drawing a word;
+    both limits themselves run."""
     q = F(1, 3)
     assert 0 <= universality_sample("1", q, MAX_SAMPLE_PERIOD, 1) <= 1
-    k = MAX_SAMPLE_SYMBOLS // MAX_SAMPLE_PERIOD
+    k = MAX_SAMPLE_SYMBOLS // (MAX_SAMPLE_PERIOD + _SAMPLE_OVERHEAD)
     monkeypatch.setattr(survey, "r_w", lambda w, code: F(0))
     assert universality_sample("1", q, MAX_SAMPLE_PERIOD, k) == 1
 
