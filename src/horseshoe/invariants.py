@@ -20,17 +20,30 @@ one rule, so tables, r-sequences and r_w read all invariants of a code from
 one scan; :func:`_parts` reads mu, nu and lam of one decoration from one
 scan, and r_dir compiles its own read.  Plans hold windows and caps only,
 so height's cache stays the one store of ray heights.
+
+The universality scans ask only whether r^w(R) < q, and :func:`_below`
+answers that without a height.  T_q = 10 (c_q[2:] 1)^inf is the
+unimodal-greatest sequence of height q, so a ray's height is below q exactly
+when the ray lies above T_q, and for 0 < q < scope(w), r^w(R) < q exactly
+when both rays of some lam occurrence, or some mu ray and some nu ray, lie
+above T_q.  :func:`_threshold` turns "above T_q" into one integer
+comparison of N-bit ray keys, once per scan; the read walks the windows of
+r^w's plan, slices a ray's key only where a window occurs, and stops at the
+first occurrence that settles the answer.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .height import HALF, _check_in_scope, height, scope
+from .height import HALF, _check_in_scope, cq_word, height, scope
 from .words import (
     DomainError,
+    Seq,
     _check_word,
     _rotation_keys,
+    _rotation_keys_at,
+    _unimodal_key,
     append_even,
     even_final_subwords,
     even_initial_subwords,
@@ -148,6 +161,77 @@ def _keys(code: str, scan: tuple) -> list[int]:
                 if ks[d] > best[i]:
                     best[i] = ks[d]
     return best
+
+
+def _threshold(q: Fraction, N: int) -> int:
+    """The N-symbol key that a period-N ray exceeds exactly when the ray lies
+    above T_q = 10 (c_q[2:] 1)^inf in the unimodal order.
+
+    A ray whose key differs from t, the key of T_q's first N symbols, is
+    ordered against T_q by that difference.  The one ray with key t is s^inf
+    for s = T_q[:N], and it is ordered once here, within M = N + |c_q| + 1
+    symbols, where no period-N ray ties T_q.  T_q's period has length
+    n = |c_q| - 1 and ends in 1, while its preperiod ends in 0, so T_q[1] = 0
+    and T_q[n + 1] = 1.  A ray r that agreed with T_q on M symbols would give
+    T_q[2:M], of length N + n, both periods N and n, hence period gcd(N, n)
+    (Fine and Wilf); as 1 + N and 1 + n are congruent modulo that period,
+    T_q[1] = r[1] = r[1 + N] = T_q[1 + N] = T_q[n + 1], a contradiction.
+    """
+    c = cq_word(q)
+    T, M = Seq("10", c[2:] + "1"), N + len(c) + 1
+    s = T.prefix(N)
+    tie_above = _unimodal_key(Seq.periodic(s).prefix(M)) > _unimodal_key(T.prefix(M))
+    return _unimodal_key(s) - tie_above
+
+
+def _below(w: str, q: Fraction, N: int):
+    """The test r^w(R) < q on codes R of length N, for 0 < q < scope(w).
+
+    Height is non-increasing in the unimodal order and T_q is the greatest
+    sequence of height q, so a ray's height is below q exactly when it lies
+    above T_q, which its key tells (see _threshold); r^w(R) < q then holds
+    exactly when both rays of some lam occurrence, or some mu ray and some
+    nu ray, lie above T_q.  The windows are those of r^w's plan.  Each ray
+    key is sliced only where a window occurs, and the test stops at the
+    first occurrence that settles it.
+    """
+    _, (_, tables) = _plan((w,))
+    t = _threshold(q, N)
+    # each read's windows by length, in the plan's order lam, mu, nu
+    lam_, mu_, nu_ = (
+        [
+            (L, ws)
+            for L, table in tables
+            if (ws := {v for v, feeds in table.items() if i in dict(feeds)})
+        ]
+        for i in range(3)
+    )
+    span = max(L for L, _ in tables)
+    above = t.__lt__
+
+    def below(code: str) -> bool:
+        _check_word(code, allow_empty=False)
+        ring, rev = code * (span // N + 2), code[::-1]
+
+        def hits(read):
+            return ((p, L) for L, ws in read for p in range(N) if ring[p : p + L] in ws)
+
+        def forward(occurrences):
+            return _rotation_keys_at(code, ((p + L) % N for p, L in occurrences))
+
+        def backward(occurrences):
+            # the backward ray at p is rotation (N - p) mod N of the reverse
+            return _rotation_keys_at(rev, (-p % N for p, _ in occurrences))
+
+        # some mu ray and some nu ray above T_q, or both rays of a lam occurrence
+        mu_above = any(map(above, forward(hits(mu_))))
+        if mu_above and any(map(above, backward(hits(nu_)))):
+            return True
+        lam_hits = list(hits(lam_))
+        lam_fwd_above = (h for h, k in zip(lam_hits, forward(lam_hits)) if k > t)
+        return any(map(above, backward(lam_fwd_above)))
+
+    return below
 
 
 def _height(key: int, N: int) -> Fraction:

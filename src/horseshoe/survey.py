@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import count, islice
 
 from .height import _check_in_scope
-from .invariants import STAR, _plan, _values, r_w
+from .invariants import STAR, _below, _plan, _values
 from .orbits import classify
 from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 
@@ -22,15 +22,18 @@ from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 # 0.8-1.0 s over seven runs and necklaces(24) 12 s, Python 3.11.7), so longer
 # necklaces are refused; sample them instead.
 MAX_EXACT_PERIOD = 24
-# A sampled orbit's scan holds 2n ray keys of n bits, so its memory grows as
-# n^2: one sample took 19 ms and 20 MB peak RSS at this limit, and 0.24 s and
-# 82 MB at n = 16,000 (Python 3.11.7); longer periods are refused.
+# A sampled orbit is tested on n-bit ray keys sliced one at a time, but when
+# no window occurrence settles the test early it slices about n of them, so
+# its time grows as n^2: one sample of r^1 took 0.6 ms at this limit with
+# q = 1/3 and 5.0 ms with q = 1/20, and 1.8 ms and 65 ms at n = 16,000, all
+# within 16 MB peak RSS (Python 3.11.7); longer periods are refused.
 MAX_SAMPLE_PERIOD = 4096
-# k samples of period n cost about as much as k * (n + _SAMPLE_OVERHEAD) symbols:
-# a least-squares fit over n = 1 .. 256 gave 20-25 us per sample and 1.6-1.8 us
-# per symbol.  At this budget a sampled scan took 5.3 s at n = 1, 6.7 s at
-# n = 64 and 17 s at n = 4,096, where the 2n keys of n bits cost more per
-# symbol (Python 3.11.7, 30 MB peak RSS at most); larger budgets are refused.
+# k samples of period n cost about as much as k * (n + _SAMPLE_OVERHEAD) symbols
+# when no sample stops early.  At this budget a sampled scan of r^1 took 5.0 s
+# at n = 1, 5.1 s at n = 64 with q = 1/6 and 5.3 s at n = 4,096 with q = 1/20,
+# the slowest q tried for each n; with q = 1/3, where most samples stop early,
+# it took 4.0 s at n = 64 and 0.6 s at n = 4,096 (Python 3.11.7, 15 MB peak
+# RSS at most); larger budgets are refused.
 MAX_SAMPLE_SYMBOLS = 1 << 22
 _SAMPLE_OVERHEAD = 12
 # Width of the Wilson intervals around sampled shares, in standard deviations.
@@ -120,11 +123,14 @@ def decinv_table(
 def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
     """The exact fraction of period-n orbits whose invariant r^w is below q.
 
-    Periods above MAX_EXACT_PERIOD raise DomainError.
+    Each orbit is decided by comparing its ray keys with the threshold T_q
+    (invariants._below), without computing r^w.  Periods above
+    MAX_EXACT_PERIOD, and q whose denominator is above
+    height.MAX_CQ_DENOMINATOR, raise DomainError.
     """
     q = _check_in_scope(w, q)
     codes = necklaces(n)
-    return Fraction(sum(r_w(w, c) < q for c in codes), len(codes))
+    return Fraction(sum(map(_below(w, q, n), codes)), len(codes))
 
 
 # rng.choice("01") keeps the top two bits of one 32-bit generator output and
@@ -154,8 +160,11 @@ def universality_sample(
 ) -> Fraction:
     """Like the scan, estimated from k orbits drawn uniformly at random.
 
-    Periods above MAX_SAMPLE_PERIOD, and k * (n + _SAMPLE_OVERHEAD) above
-    MAX_SAMPLE_SYMBOLS, raise DomainError before any orbit is drawn.
+    Each drawn orbit is decided against T_q as in the scan, stopping at the
+    first window occurrence that settles it.  Periods above
+    MAX_SAMPLE_PERIOD, k * (n + _SAMPLE_OVERHEAD) above MAX_SAMPLE_SYMBOLS,
+    and q whose denominator is above height.MAX_CQ_DENOMINATOR raise
+    DomainError before any orbit is drawn.
     """
     q = _check_in_scope(w, q)
     if n < 1 or k < 1:
@@ -170,7 +179,7 @@ def universality_sample(
         )
     rng = random.Random(seed)
     codes = islice(filter(is_primitive, (_random_word(rng, n) for _ in count())), k)
-    return Fraction(sum(r_w(w, c) < q for c in codes), k)
+    return Fraction(sum(map(_below(w, q, n), codes)), k)
 
 
 def wilson_interval(p, k: int) -> tuple[float, float]:

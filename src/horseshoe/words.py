@@ -144,8 +144,9 @@ def _unimodal_key(word: str) -> int:
     return x
 
 
-def _rotation_keys(word: str) -> list[int]:
-    """The unimodal keys of word[i:] + word[:i], i < |word|, as slices of one key.
+def _rotation_keys_at(word: str, starts):
+    """The unimodal keys of word[i:] + word[:i] for each i < |word| in starts,
+    as slices of one key, made lazily as starts are read.
 
     Bit j of the key of the word doubled is the parity of its first j + 1
     symbols, so a slice needs complementing when word[:i] holds an odd
@@ -154,7 +155,12 @@ def _rotation_keys(word: str) -> list[int]:
     N = len(word)
     K, mask = _unimodal_key(word * 2), (1 << N) - 1
     flip = (0, mask)
-    return [K >> (N - i) & mask ^ flip[K >> (2 * N - i) & 1] for i in range(N)]
+    return (K >> (N - i) & mask ^ flip[K >> (2 * N - i) & 1] for i in starts)
+
+
+def _rotation_keys(word: str) -> list[int]:
+    """The unimodal keys of word[i:] + word[:i], i < |word|."""
+    return list(_rotation_keys_at(word, range(len(word))))
 
 
 def unimodal_cmp(s: Seq, t: Seq) -> int:

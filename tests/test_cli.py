@@ -42,8 +42,14 @@ def test_cq_domain_error(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["cq", "1/10000000"], ["star", "1/10000000"], ["disks", "10010110", "11", "1/10000000"]],
-    ids=["cq", "star", "disks"],
+    [
+        ["cq", "1/10000000"],
+        ["star", "1/10000000"],
+        ["disks", "10010110", "11", "1/10000000"],
+        ["scan", "1", "1/10000000", "10"],
+        ["scan", "1", "1/10000000", "64", "--sample", "10"],
+    ],
+    ids=["cq", "star", "disks", "scan", "scan-sample"],
 )
 def test_huge_denominator_exits_1(capsys, argv):
     # c_q costs time linear in the denominator, so it is refused, not built

@@ -209,6 +209,44 @@ def test_height_order_reversing_small():
                 assert height(s) <= height(t)
 
 
+def _rationals(max_den):
+    """Every q in (0, 1/2] with denominator at most max_den, in lowest terms."""
+    return sorted({F(m, d) for d in range(2, max_den + 1) for m in range(1, d // 2 + 1)})
+
+
+def _threshold(q):
+    """T_q = 10 (c_q[2:] 1)^inf, the unimodal-greatest sequence of height q."""
+    return Seq("10", cq_word(q)[2:] + "1")
+
+
+def test_threshold_has_height_q():
+    qs = _rationals(30)
+    assert len(qs) == 139
+    for q in qs:
+        T = _threshold(q)
+        assert T.pre == "10", q  # T_q is never purely periodic
+        assert height(T) == q, q
+
+
+def test_height_below_q_iff_above_threshold():
+    """h(s) < q exactly when s >_U T_q, on every pre(per) with |pre| <= 5,
+    |per| <= 6 and |pre| + |per| <= 8, for every q <= 1/2 up to denominator 14."""
+    seqs = {
+        Seq("".join(pre), "".join(per))
+        for n in range(1, 7)
+        for per in product("01", repeat=n)
+        for k in range(min(5, 8 - n) + 1)
+        for pre in product("01", repeat=k)
+    }
+    below = 0
+    for q in _rationals(14):
+        T = _threshold(q)
+        for s in seqs:
+            assert (height(s) < q) == (unimodal_cmp(s, T) == GT), (q, str(s))
+            below += height(s) < q
+    assert below > 0
+
+
 SCOPES = {
     "": F(1, 3),
     "0": F(1, 4),

@@ -12,6 +12,7 @@ from horseshoe.invariants import (
     FORWARD,
     NOT_FORCED,
     DomainError,
+    _below,
     _compile,
     _height,
     _keys,
@@ -19,6 +20,7 @@ from horseshoe.invariants import (
     _mu_windows,
     _nu_windows,
     _parts,
+    _threshold,
     forces,
     lam,
     mu,
@@ -28,9 +30,9 @@ from horseshoe.invariants import (
     r_w,
     rhe_is_half,
 )
-from horseshoe.height import height, scope
+from horseshoe.height import cq_word, height, scope
 from horseshoe.survey import _DEFAULT_DECORATIONS, STAR, necklaces
-from horseshoe.words import Seq, canonical_code
+from horseshoe.words import GT, Seq, _rotation_keys_at, canonical_code, unimodal_cmp
 
 F = Fraction
 
@@ -263,3 +265,57 @@ def test_scan_edge_cases_match_reference():
             )
             with pytest.raises(DomainError, match="sideways"):
                 _compile(((("1",), FORWARD), (("1", "0000000"), "sideways")))
+
+
+BELOW_DECORATIONS = ("", "0", "1", "00", "11", "000", "111", "101")
+
+
+def assert_below_matches_r_w(decorations, periods, max_den) -> int:
+    """The threshold read against r^w < q on every necklace of the periods,
+    for every q in scope up to max_den; returns how many checks ran."""
+    checks = 0
+    for w in decorations:
+        cap = scope(w)
+        qs = sorted({F(m, d) for d in range(2, max_den + 1) for m in range(1, d)})
+        qs = [q for q in qs if q < cap]
+        for n in periods:
+            codes = necklaces(n)
+            rs = [r_w(w, c) for c in codes]
+            for q in qs:
+                below = _below(w, q, n)
+                for code, r in zip(codes, rs):
+                    assert below(code) == (r < q), (w, q, code, r)
+                checks += len(codes)
+    return checks
+
+
+def test_below_matches_r_w_on_small_periods():
+    """r^w < q decided against T_q equals r^w < q read from heights.
+
+    Periods 9 and 10 hold the first orbits with one of mu and nu below q and
+    lam not, which tell "mu and nu" from "mu or nu".
+    """
+    assert assert_below_matches_r_w(BELOW_DECORATIONS, range(1, 11), 8) == 11978
+
+
+def test_threshold_decides_ties():
+    """The one ray whose first N symbols are T_q's is still ordered against T_q.
+
+    Its N-symbol key ties T_q's, and at q = 1/3 the ray of 1001101 lies above
+    T_q = 10(011)^inf; _threshold orders every such ray as the unimodal
+    order does, so a threshold read from N symbols alone fails here.
+    """
+    above = 0
+    for d in range(3, 16):
+        for m in range(1, d // 2 + 1):
+            q = F(m, d)
+            T = Seq("10", cq_word(q)[2:] + "1")
+            for N in range(1, 25):
+                s = T.prefix(N)
+                (k,) = _rotation_keys_at(s, [0])
+                want = unimodal_cmp(Seq.periodic(s), T) == GT
+                assert (k > _threshold(q, N)) == want, (q, s)
+                above += want
+    assert above > 0
+    (k,) = _rotation_keys_at("1001101", [0])
+    assert k > _threshold(F(1, 3), 7)

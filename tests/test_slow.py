@@ -15,9 +15,9 @@ from horseshoe.height import height, height_oracle, scope
 from horseshoe.invariants import _values, r_w
 from horseshoe.orbits import q_in_Qw_sufficient
 from horseshoe.survey import necklaces
-from horseshoe.words import GT, DomainError, Seq, canonical_code
-from test_height import _reference_scope
-from test_invariants import assert_matches_reference
+from horseshoe.words import GT, DomainError, Seq, canonical_code, unimodal_cmp
+from test_height import _rationals, _reference_scope, _threshold
+from test_invariants import assert_below_matches_r_w, assert_matches_reference
 from test_survey import assert_labels_match_reference
 from test_words import _reference_cmp
 
@@ -91,19 +91,51 @@ def test_height_matches_oracle_on_short_sequences():
     """height against the Stern-Brocot oracle on every pre(per) with
     |pre| <= 8, |per| <= 8 and |pre| + |per| <= 12, constant tails included."""
     start = time.perf_counter()
-    seqs = {
-        Seq("".join(pre), "".join(per))
-        for n in range(1, 9)
-        for per in product("01", repeat=n)
-        for k in range(min(8, 12 - n) + 1)
-        for pre in product("01", repeat=k)
-    }
+    seqs = _short_sequences()
     for s in seqs:
         assert height(s) == height_oracle(s, max_den=64), str(s)
     elapsed = time.perf_counter() - start
     print(f"\nheight vs height_oracle, short pre(per): {len(seqs)} sequences "
           f"agree, {elapsed:.1f} s")
     assert len(seqs) == 20800
+
+
+def _short_sequences():
+    """Every pre(per) with |pre| <= 8, |per| <= 8 and |pre| + |per| <= 12."""
+    return {
+        Seq("".join(pre), "".join(per))
+        for n in range(1, 9)
+        for per in product("01", repeat=n)
+        for k in range(min(8, 12 - n) + 1)
+        for pre in product("01", repeat=k)
+    }
+
+
+def test_height_below_q_iff_above_threshold_on_short_sequences():
+    """h(s) < q exactly when s >_U T_q, on the 20,800 short pre(per), for
+    every q <= 1/2 up to denominator 20."""
+    start = time.perf_counter()
+    seqs = _short_sequences()
+    qs = _rationals(20)
+    for q in qs:
+        T = _threshold(q)
+        for s in seqs:
+            assert (height(s) < q) == (unimodal_cmp(s, T) == GT), (q, str(s))
+    elapsed = time.perf_counter() - start
+    print(f"\nh(s) < q iff s >_U T_q: {len(seqs)} sequences x {len(qs)} q agree, "
+          f"{elapsed:.1f} s")
+    assert len(seqs) == 20800
+
+
+def test_below_matches_r_w_periods_to_14():
+    """The threshold read against r^w < q on every necklace of period <= 14,
+    for the 21 lone decorations and every q in scope up to denominator 10."""
+    start = time.perf_counter()
+    decorations = lone_catalog(5)
+    assert len(decorations) == 21
+    checks = assert_below_matches_r_w(decorations, range(1, 15), 10)
+    elapsed = time.perf_counter() - start
+    print(f"\nthreshold read vs r_w, periods <= 14: {checks} agree, {elapsed:.1f} s")
 
 
 def test_invariants_match_reference_on_long_codes():

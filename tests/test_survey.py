@@ -227,17 +227,17 @@ def test_exact_enumeration_refused_above_limit(monkeypatch, capsys):
         universality_scan("1", F(1, 3), MAX_EXACT_PERIOD)
 
 
-def test_sample_reads_one_height_per_code():
-    """The sampled scan reads one ray height per sampled code.
+def test_sample_reads_no_height_per_code():
+    """The sampled scan decides r^w < q by key comparisons against T_q.
 
-    Each r^w is the height of one ray, so k codes make at most k cold height
-    misses, besides the one ray of the cycle 1010 that scope("1") reads.
+    Its only height is the one ray of the cycle 1010 that scope("1") reads
+    when q is checked, so k cold codes make no height miss.
     """
     k = 200
     height.cache_clear()
     scope.cache_clear()
     universality_sample("1", F(2, 5), 64, k, 1)
-    assert height.cache_info().misses <= k + 1
+    assert height.cache_info().misses == 1
 
 
 def test_random_word_matches_choice_loop():
@@ -277,7 +277,7 @@ def test_sample_refused_above_limits(monkeypatch, capsys):
     q = F(1, 3)
     assert 0 <= universality_sample("1", q, MAX_SAMPLE_PERIOD, 1) <= 1
     k = MAX_SAMPLE_SYMBOLS // (MAX_SAMPLE_PERIOD + _SAMPLE_OVERHEAD)
-    monkeypatch.setattr(survey, "r_w", lambda w, code: F(0))
+    monkeypatch.setattr(survey, "_below", lambda w, q, n: lambda code: True)
     assert universality_sample("1", q, MAX_SAMPLE_PERIOD, k) == 1
 
     def refuse(rng, n):
