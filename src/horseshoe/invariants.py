@@ -27,9 +27,9 @@ unimodal-greatest sequence of height q, so a ray's height is below q exactly
 when the ray lies above T_q, and for 0 < q < scope(w), r^w(R) < q exactly
 when both rays of some lam occurrence, or some mu ray and some nu ray, lie
 above T_q.  :func:`_threshold` turns "above T_q" into one integer
-comparison of N-bit ray keys, once per scan; the read walks the windows of
-r^w's plan, slices a ray's key only where a window occurs, and stops at the
-first occurrence that settles the answer.
+comparison of N-bit ray keys, once per scan.  The read walks r^w's compiled
+plan as :func:`_keys` does, with a flag per read in place of a greatest key,
+so both reads share one plan layout and one key-slicing rule.
 """
 from __future__ import annotations
 
@@ -39,10 +39,9 @@ from functools import lru_cache
 from .height import HALF, _check_in_scope, cq_word, height, scope
 from .words import (
     DomainError,
-    Seq,
     _check_word,
+    _rotation_key,
     _rotation_keys,
-    _rotation_keys_at,
     _unimodal_key,
     append_even,
     even_final_subwords,
@@ -178,58 +177,54 @@ def _threshold(q: Fraction, N: int) -> int:
     T_q[1] = r[1] = r[1 + N] = T_q[1 + N] = T_q[n + 1], a contradiction.
     """
     c = cq_word(q)
-    T, M = Seq("10", c[2:] + "1"), N + len(c) + 1
-    s = T.prefix(N)
-    tie_above = _unimodal_key(Seq.periodic(s).prefix(M)) > _unimodal_key(T.prefix(M))
+    per, M = c[2:] + "1", N + len(c) + 1
+    T = ("10" + per * (N // len(per) + 2))[:M]  # T_q's first M symbols
+    s = T[:N]
+    tie_above = _unimodal_key((s * (M // N + 1))[:M]) > _unimodal_key(T)
     return _unimodal_key(s) - tie_above
 
 
 def _below(w: str, q: Fraction, N: int):
     """The test r^w(R) < q on codes R of length N, for 0 < q < scope(w).
 
-    Height is non-increasing in the unimodal order and T_q is the greatest
-    sequence of height q, so a ray's height is below q exactly when it lies
-    above T_q, which its key tells (see _threshold); r^w(R) < q then holds
-    exactly when both rays of some lam occurrence, or some mu ray and some
-    nu ray, lie above T_q.  The windows are those of r^w's plan.  Each ray
-    key is sliced only where a window occurs, and the test stops at the
-    first occurrence that settles it.
+    The code is walked as in _keys, and a read is flagged when one of its
+    occurrences has its ray, or both rays under "both", above T_q (see
+    _threshold).  A key is sliced only for a read not yet flagged, and the
+    test returns True at the first flag that makes lam or (mu and nu).
     """
     _, (_, tables) = _plan((w,))
     t = _threshold(q, N)
-    # each read's windows by length, in the plan's order lam, mu, nu
-    lam_, mu_, nu_ = (
-        [
-            (L, ws)
-            for L, table in tables
-            if (ws := {v for v, feeds in table.items() if i in dict(feeds)})
-        ]
-        for i in range(3)
-    )
-    span = max(L for L, _ in tables)
-    above = t.__lt__
 
     def below(code: str) -> bool:
         _check_word(code, allow_empty=False)
-        ring, rev = code * (span // N + 2), code[::-1]
-
-        def hits(read):
-            return ((p, L) for L, ws in read for p in range(N) if ring[p : p + L] in ws)
-
-        def forward(occurrences):
-            return _rotation_keys_at(code, ((p + L) % N for p, L in occurrences))
-
-        def backward(occurrences):
-            # the backward ray at p is rotation (N - p) mod N of the reverse
-            return _rotation_keys_at(rev, (-p % N for p, _ in occurrences))
-
-        # some mu ray and some nu ray above T_q, or both rays of a lam occurrence
-        mu_above = any(map(above, forward(hits(mu_))))
-        if mu_above and any(map(above, backward(hits(nu_)))):
-            return True
-        lam_hits = list(hits(lam_))
-        lam_fwd_above = (h for h, k in zip(lam_hits, forward(lam_hits)) if k > t)
-        return any(map(above, backward(lam_fwd_above)))
+        fwd, bwd = _rotation_key(code), _rotation_key(code[::-1])
+        above = [False] * 3  # lam, mu, nu, in the plan's read order
+        for L, table in tables:
+            doubled = code * (L // N + 2)
+            get = table.get
+            for p in range(N):
+                feeds = get(doubled[p : p + L])
+                if feeds is None:
+                    continue
+                # whether the forward ray and the backward ray, which at p is
+                # rotation (N - p) mod N of the reverse, lie above T_q; each
+                # is sliced at most once, when a read first asks for it
+                f = b = None
+                for i, d in feeds:  # d indexes _DIRECTIONS
+                    if above[i]:
+                        continue
+                    if d != 1:  # forward or both
+                        f = fwd((p + L) % N) > t if f is None else f
+                        if not f:
+                            continue
+                    if d != 0:  # backward or both
+                        b = bwd(-p % N) > t if b is None else b
+                        if not b:
+                            continue
+                    above[i] = True
+                    if above[0] or above[1] and above[2]:
+                        return True
+        return False
 
     return below
 

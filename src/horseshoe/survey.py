@@ -24,16 +24,16 @@ from .words import DomainError, _unimodal_key, canonical_code, is_primitive
 MAX_EXACT_PERIOD = 24
 # A sampled orbit is tested on n-bit ray keys sliced one at a time, but when
 # no window occurrence settles the test early it slices about n of them, so
-# its time grows as n^2: one sample of r^1 took 0.6 ms at this limit with
-# q = 1/3 and 5.0 ms with q = 1/20, and 1.8 ms and 65 ms at n = 16,000, all
-# within 16 MB peak RSS (Python 3.11.7); longer periods are refused.
+# its time grows as n^2: one sample of r^1 took 0.16 ms at this limit with
+# q = 1/3 and 3.9-4.9 ms with q = 1/20, and 0.6-0.8 and 29-37 ms at n = 16,000,
+# all within 16 MB peak RSS (Python 3.11.7); longer periods are refused.
 MAX_SAMPLE_PERIOD = 4096
 # k samples of period n cost about as much as k * (n + _SAMPLE_OVERHEAD) symbols
-# when no sample stops early.  At this budget a sampled scan of r^1 took 5.0 s
-# at n = 1, 5.1 s at n = 64 with q = 1/6 and 5.3 s at n = 4,096 with q = 1/20,
-# the slowest q tried for each n; with q = 1/3, where most samples stop early,
-# it took 4.0 s at n = 64 and 0.6 s at n = 4,096 (Python 3.11.7, 15 MB peak
-# RSS at most); larger budgets are refused.
+# when no sample stops early.  At this budget a sampled scan of r^1 took
+# 1.5-2.3 s at n = 1, 3.0 s at n = 64 with q = 1/6 and 4.0-4.9 s at n = 4,096
+# with q = 1/20, the slowest q tried for each n; with q = 1/3 it took 2.7 s
+# at n = 64 and 0.55 s at n = 4,096 (Python 3.11.7, 15 MB peak RSS at most);
+# larger budgets are refused.
 MAX_SAMPLE_SYMBOLS = 1 << 22
 _SAMPLE_OVERHEAD = 12
 # Width of the Wilson intervals around sampled shares, in standard deviations.

@@ -144,9 +144,9 @@ def _unimodal_key(word: str) -> int:
     return x
 
 
-def _rotation_keys_at(word: str, starts):
-    """The unimodal keys of word[i:] + word[:i] for each i < |word| in starts,
-    as slices of one key, made lazily as starts are read.
+def _rotation_key(word: str):
+    """The function i -> unimodal key of word[i:] + word[:i], 0 <= i < |word|,
+    which slices each key from one key of the word doubled when it is asked.
 
     Bit j of the key of the word doubled is the parity of its first j + 1
     symbols, so a slice needs complementing when word[:i] holds an odd
@@ -155,12 +155,12 @@ def _rotation_keys_at(word: str, starts):
     N = len(word)
     K, mask = _unimodal_key(word * 2), (1 << N) - 1
     flip = (0, mask)
-    return (K >> (N - i) & mask ^ flip[K >> (2 * N - i) & 1] for i in starts)
+    return lambda i: K >> (N - i) & mask ^ flip[K >> (2 * N - i) & 1]
 
 
 def _rotation_keys(word: str) -> list[int]:
     """The unimodal keys of word[i:] + word[:i], i < |word|."""
-    return list(_rotation_keys_at(word, range(len(word))))
+    return list(map(_rotation_key(word), range(len(word))))
 
 
 def unimodal_cmp(s: Seq, t: Seq) -> int:

@@ -246,7 +246,15 @@ def _code_objects(code):
 
 def test_oracle_shares_no_formula_code():
     """The disk oracle neither binds nor calls the formula's key and scan helpers."""
-    formula = {"_rotation_keys", "_keys", "_plan", "_compile"}
+    formula = {
+        "_rotation_keys",
+        "_rotation_key",
+        "_keys",
+        "_plan",
+        "_compile",
+        "_below",
+        "_threshold",
+    }
     assert not formula & set(vars(disks))
     functions = [
         getattr(f, "__wrapped__", f)

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from horseshoe import invariants
 from horseshoe.families import lone_catalog
 from horseshoe.invariants import (
     AT_THRESHOLD,
@@ -32,7 +33,7 @@ from horseshoe.invariants import (
 )
 from horseshoe.height import cq_word, height, scope
 from horseshoe.survey import _DEFAULT_DECORATIONS, STAR, necklaces
-from horseshoe.words import GT, Seq, _rotation_keys_at, canonical_code, unimodal_cmp
+from horseshoe.words import GT, Seq, _rotation_key, canonical_code, unimodal_cmp
 
 F = Fraction
 
@@ -312,10 +313,54 @@ def test_threshold_decides_ties():
             T = Seq("10", cq_word(q)[2:] + "1")
             for N in range(1, 25):
                 s = T.prefix(N)
-                (k,) = _rotation_keys_at(s, [0])
+                k = _rotation_key(s)(0)
                 want = unimodal_cmp(Seq.periodic(s), T) == GT
                 assert (k > _threshold(q, N)) == want, (q, s)
                 above += want
     assert above > 0
-    (k,) = _rotation_keys_at("1001101", [0])
+    k = _rotation_key("1001101")(0)
     assert k > _threshold(F(1, 3), 7)
+
+
+def test_below_slices_keys_only_where_needed(monkeypatch):
+    """The read slices a ray key only for an occurrence that feeds an unsettled
+    read, and stops at the occurrence that settles the test.
+
+    The code 0 holds no window of r^1, so no key is sliced.  At q = 2/5 the
+    code 1111001 opens with 111, which feeds lam alone and has both rays
+    above T_q, so two slices settle the test; its later windows 110 and 011
+    feed nu and mu, which a walk that went on would slice for.
+    """
+    slices = []
+    slicer = invariants._rotation_key
+
+    def counted(word):
+        key = slicer(word)
+
+        def sliced(i):
+            slices.append((word, i))
+            return key(i)
+
+        return sliced
+
+    monkeypatch.setattr(invariants, "_rotation_key", counted)
+    assert not _below("1", F(2, 5), 1)("0")
+    assert slices == []
+    assert _below("1", F(2, 5), 7)("1111001")
+    assert len(slices) <= 2, slices
+
+
+def test_below_builds_no_seq(monkeypatch):
+    """The threshold and the read work on plain strings: no Seq is built."""
+    built = []
+    post_init = Seq.__post_init__
+
+    def counted(seq):
+        built.append(seq)
+        post_init(seq)
+
+    scope("1")
+    monkeypatch.setattr(Seq, "__post_init__", counted)
+    assert _below("1", F(2, 5), 7)("0101001")
+    assert not _below("1", F(1, 20), 64)("1" + "0" * 63)
+    assert built == []

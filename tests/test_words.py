@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 from os.path import commonprefix
@@ -198,6 +199,22 @@ def test_canonical_code_keys_once(monkeypatch):
     monkeypatch.setattr(words, "_unimodal_key", counted)
     assert canonical_code("0111011") == "1011011"
     assert calls == ["01110110111011"]
+
+
+def test_rotation_key_is_key_of_each_rotation():
+    """The slicer gives the key of word[i:] + word[:i] at every i: all words of
+    length <= 10, and seeded words of length 33-200, whose keys pass 64 bits."""
+    rng = random.Random(0)
+    ws = ["".join(bits) for n in range(1, 11) for bits in product("01", repeat=n)]
+    ws += [
+        "".join(rng.choice("01") for _ in range(rng.randint(33, 200)))
+        for _ in range(60)
+    ]
+    for word in ws:
+        key = words._rotation_key(word)
+        want = [words._unimodal_key(word[i:] + word[:i]) for i in range(len(word))]
+        assert [key(i) for i in range(len(word))] == want, word
+        assert words._rotation_keys(word) == want, word
 
 
 @given(w=st.text(alphabet="01", min_size=1, max_size=8), k=st.integers(0, 7))
