@@ -13,12 +13,14 @@ call.  An invariant is a read, a set of windows with a direction.
 :func:`_plan` compiles the reads of a tuple of decorations once per tuple:
 lam, mu and nu for each r^w, capped at scope(w), and for r* a lam read of
 both rays at every position, capped at 1/2, with empty mu and nu reads.
-:func:`_keys` walks the cyclic code once per window length in the plan,
-offering each occurrence's ray keys to every read its window feeds.
+:func:`_compile` makes the plan's distinct windows one binary Aho-Corasick
+automaton, whose states list the windows ending there, so :func:`_keys`
+reads the cyclic code once and offers each occurrence's ray keys to every
+read its window feeds.
 :func:`_values` turns each column's three keys and cap into r^w or r* by
 one rule, so tables, r-sequences and r_w read all invariants of a code from
 one scan; :func:`_parts` reads mu, nu and lam of one decoration from one
-scan, and r_dir compiles its own read.  Plans hold windows and caps only,
+scan, and r_dir compiles its own read.  Plans hold automata and caps only,
 so height's cache stays the one store of ray heights.
 
 The universality scans ask only whether r^w(R) < q, and :func:`_below`
@@ -27,9 +29,9 @@ unimodal-greatest sequence of height q, so a ray's height is below q exactly
 when the ray lies above T_q, and for 0 < q < scope(w), r^w(R) < q exactly
 when both rays of some lam occurrence, or some mu ray and some nu ray, lie
 above T_q.  :func:`_threshold` turns "above T_q" into one integer
-comparison of N-bit ray keys, once per scan.  The read walks r^w's compiled
-plan as :func:`_keys` does, with a flag per read in place of a greatest key,
-so both reads share one plan layout and one key-slicing rule.
+comparison of N-bit ray keys, once per scan.  The read runs r^w's
+automaton as :func:`_keys` does, with a flag per read in place of a
+greatest key, so both reads share one plan layout and one key-slicing rule.
 """
 from __future__ import annotations
 
@@ -66,25 +68,55 @@ AT_THRESHOLD = "THRESHOLD"
 STAR = "*"
 _STAR_READS = ((("0", "1"), BOTH), ((), FORWARD), ((), BACKWARD))
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _cyclic_bits(code: str, L_max: int) -> bytes:
+    """The first N + L_max symbols of the cyclic code, as the bytes 0 and 1."""
+    N = len(code)
+    return (code * (L_max // N + 2))[: N + L_max].encode().translate(_BITS)
+
 
 def _compile(reads: tuple) -> tuple:
-    """Compile reads, a tuple of (windows, direction), into one scan.
+    """Compile reads, a tuple of (windows, direction) with binary windows,
+    into one Aho-Corasick automaton of its windows (Aho and Corasick 1975).
 
-    Returns the number of reads and (L, table) pairs, one per window length
-    L, where table maps each window of length L to the reads it feeds, as a
-    tuple of (read index, index of its direction in _DIRECTIONS) pairs.
+    Returns (number of reads, L_max, go, ends).  State s is an even index and
+    go[s + b] the state after bit b.  ends[s] is the node (L, feeds, next) of
+    the longest window that ends the state's word, or None: its length, the
+    reads it feeds as (read index, index in _DIRECTIONS) pairs, and the node
+    of the next longest, down the suffix links.
     """
-    tables: dict = {}
+    feeds: dict = {}
     for i, (windows, direction) in enumerate(reads):
         if direction not in _DIRECTIONS:
             raise DomainError(f"unknown direction: {direction!r}")
-        d = _DIRECTIONS.index(direction)
+        feed = (i, _DIRECTIONS.index(direction))  # one pair for all its windows
         for v in windows:
-            tables.setdefault(len(v), {}).setdefault(v, []).append((i, d))
-    return len(reads), tuple(
-        (L, {v: tuple(feeds) for v, feeds in table.items()})
-        for L, table in tables.items()
-    )
+            feeds.setdefault(v, []).append(feed)
+    go, at = [-1, -1], {}  # the trie, with -1 for a missing edge
+    for v, fed in feeds.items():
+        s = 0
+        for b in v.encode().translate(_BITS):
+            if go[s + b] < 0:
+                go[s + b] = len(go)
+                go += (-1, -1)
+            s = go[s + b]
+        at[s] = len(v), tuple(fed)
+    # breadth first, so a state's suffix link, being shallower, is complete
+    link, ends = [0] * len(go), [None] * len(go)
+    ends[0] = (*at[0], None) if 0 in at else None  # the empty window
+    queue = [0]
+    for s in queue:
+        for b in (0, 1):
+            t, u = go[s + b], go[link[s] + b] if s else 0
+            if t < 0:
+                go[s + b] = u
+            else:
+                link[t] = u
+                ends[t] = (*at[t], ends[u]) if t in at else ends[u]
+                queue.append(t)
+    return len(reads), max(map(len, feeds), default=0), go, ends
 
 
 def _mu_windows(w: str) -> tuple[str, ...]:
@@ -134,27 +166,29 @@ def _keys(code: str, scan: tuple) -> list[int]:
     (0^N, height 1/2) for a read whose windows do not occur in the code.
 
     Rays are N-bit unimodal keys, which order distinct rays of period N
-    exactly because they differ within N symbols.  The code is walked once
-    per window length in the scan; each start's window is looked up once
-    and offers that occurrence's ray key to every read it feeds, the lesser
-    of its two keys under "both".
+    exactly because they differ within N symbols.  The scan's automaton
+    reads the cyclic code once.  Before symbol e it stands in a state whose
+    chain of ends lists the windows ending at e, longest first; a window of
+    length L starts at p = e - L, and the first with p >= N, and all after
+    it, repeat occurrences already read.  Each occurrence offers its ray key
+    to every read it feeds, the lesser of its two keys under "both".
     """
     _check_word(code, allow_empty=False)
     N = len(code)
-    # the forward ray at i reads the code from i; the backward ray at p
+    # the forward ray at e reads the code from e; the backward ray at p
     # reads leftward from p - 1, which is the reverse from N - p
-    fwd, bwd = _rotation_keys(code), _rotation_keys(code[::-1])
-    n_reads, tables = scan
+    fwd, bwd = _rotation_key(code), _rotation_keys(code[::-1])
+    n_reads, L_max, go, ends = scan
     best = [0] * n_reads
-    for L, table in tables:
-        doubled = code * (L // N + 2)
-        get = table.get
-        for p in range(N):
-            feeds = get(doubled[p : p + L])
-            if feeds is None:
-                continue
-            # the backward ray at p is rotation (N - p) mod N of the reverse
-            kf, kb = fwd[(p + L) % N], bwd[-p]
+    s = 0
+    for e, b in enumerate(_cyclic_bits(code, L_max)):
+        node, s = ends[s], go[s + b]
+        kf = 0 if node is None else fwd(e % N)
+        while node is not None:
+            L, feeds, node = node
+            if e - L >= N:
+                break
+            kb = bwd[L - e]  # bwd[-p]
             ks = (kf, kb, kb if kb < kf else kf)  # indexed like _DIRECTIONS
             for i, d in feeds:
                 if ks[d] > best[i]:
@@ -187,39 +221,40 @@ def _threshold(q: Fraction, N: int) -> int:
 def _below(w: str, q: Fraction, N: int):
     """The test r^w(R) < q on codes R of length N, for 0 < q < scope(w).
 
-    The code is walked as in _keys, and a read is flagged when one of its
+    The code is read as in _keys, and a read is flagged when one of its
     occurrences has its ray, or both rays under "both", above T_q (see
     _threshold).  A key is sliced only for a read not yet flagged, and the
     test returns True at the first flag that makes lam or (mu and nu).
     """
-    _, (_, tables) = _plan((w,))
+    _, (_, L_max, go, ends) = _plan((w,))
     t = _threshold(q, N)
 
     def below(code: str) -> bool:
         _check_word(code, allow_empty=False)
         fwd, bwd = _rotation_key(code), _rotation_key(code[::-1])
         above = [False] * 3  # lam, mu, nu, in the plan's read order
-        for L, table in tables:
-            doubled = code * (L // N + 2)
-            get = table.get
-            for p in range(N):
-                feeds = get(doubled[p : p + L])
-                if feeds is None:
-                    continue
-                # whether the forward ray and the backward ray, which at p is
-                # rotation (N - p) mod N of the reverse, lie above T_q; each
-                # is sliced at most once, when a read first asks for it
-                f = b = None
+        s = 0
+        for e, b in enumerate(_cyclic_bits(code, L_max)):
+            node, s = ends[s], go[s + b]
+            # whether the forward ray at e, and each occurrence's backward
+            # ray, lie above T_q; each is sliced at most once, when a read
+            # first asks for it
+            f = None
+            while node is not None:
+                L, feeds, node = node
+                if e - L >= N:
+                    break
+                g = None
                 for i, d in feeds:  # d indexes _DIRECTIONS
                     if above[i]:
                         continue
                     if d != 1:  # forward or both
-                        f = fwd((p + L) % N) > t if f is None else f
+                        f = fwd(e % N) > t if f is None else f
                         if not f:
                             continue
                     if d != 0:  # backward or both
-                        b = bwd(-p % N) > t if b is None else b
-                        if not b:
+                        g = bwd((L - e) % N) > t if g is None else g
+                        if not g:
                             continue
                     above[i] = True
                     if above[0] or above[1] and above[2]:
@@ -263,8 +298,11 @@ def r_dir(code: str, windows, direction: str) -> Fraction:
     A window occupying positions p .. p+|v|-1 of the cyclic code has a
     forward ray leaving its right end and a backward ray leaving its left
     end; "both" takes the larger of the two heights before minimizing.
+    The windows are a collection of binary words; a bare string is refused.
     """
-    scan = _compile(((tuple(windows), direction),))
+    if isinstance(windows, str):
+        raise DomainError(f"windows must be a collection of words, got {windows!r}")
+    scan = _compile(((tuple(map(_check_word, windows)), direction),))
     return _height(_keys(code, scan)[0], len(code))
 
 

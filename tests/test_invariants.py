@@ -155,6 +155,18 @@ def test_r_dir_rejects_unknown_direction():
             r_dir(code, ("1",), "sideways")
 
 
+def test_r_dir_refuses_non_binary_windows():
+    """A window is a binary word and the windows are a collection of them:
+    a bare string would be read as its symbols, so it is refused too."""
+    with pytest.raises(DomainError, match="binary"):
+        r_dir("1001", ("2",), FORWARD)
+    with pytest.raises(DomainError, match="binary"):
+        r_dir("1001", ("1", 1), BOTH)
+    with pytest.raises(DomainError, match="collection"):
+        r_dir("1001", "01", FORWARD)
+    assert r_dir("1001", ["0", "1"], FORWARD) == r_dir("1001", ("0", "1"), FORWARD)
+
+
 def test_one_height_per_invariant_read(monkeypatch):
     """r* and each r^w read the height of one ray: 9 reads, at most 9 misses.
 
@@ -266,6 +278,40 @@ def test_scan_edge_cases_match_reference():
             )
             with pytest.raises(DomainError, match="sideways"):
                 _compile(((("1",), FORWARD), (("1", "0000000"), "sideways")))
+
+
+def test_automaton_matches_reference():
+    """One automaton per read set on every code of length 1 to 6 against the
+    reference r_dir.
+
+    The reads hold windows that are suffixes of one another, in all three
+    directions, so one state ends several windows; windows up to four times
+    the code's length, which wrap around it; the empty window alone, where
+    L_max is 0; and the odd-ones plan at index 20, whose windows run to
+    length 43.
+    """
+    directions = (FORWARD, BACKWARD, BOTH)
+    odd_ones = tuple("1" * (2 * i + 1) for i in range(21))
+    odd_reads = tuple(
+        (windows(w), d)
+        for w in odd_ones
+        for windows, d in ((_lam_windows, BOTH), (_mu_windows, FORWARD), (_nu_windows, BACKWARD))
+    )
+    odd_plan = invariants._plan(odd_ones)[1]
+    assert odd_plan[1] == 43
+    for N in range(1, 7):
+        for code in map("".join, product("01", repeat=N)):
+            cyclic = code * 5
+            long = (cyclic[: 4 * N], cyclic[1 : 4 * N], cyclic[3 : 4 * N], "1" + cyclic[1 : 4 * N])
+            window_sets = [("1", "01", "101", "0101"), ("0", "10", "110", "0110", "11"), long]
+            reads = tuple(product(window_sets, directions))
+            got = [_height(k, N) for k in _keys(code, _compile(reads))]
+            assert got == [_reference_r_dir(code, ws, d) for ws, d in reads], code
+            for d in directions:
+                (k,) = _keys(code, _compile(((("",), d),)))
+                assert _height(k, N) == _reference_r_dir(code, ("",), d), (code, d)
+            got = [_height(k, N) for k in _keys(code, odd_plan)]
+            assert got == [_reference_r_dir(code, ws, d) for ws, d in odd_reads], code
 
 
 BELOW_DECORATIONS = ("", "0", "1", "00", "11", "000", "111", "101")
