@@ -3,12 +3,15 @@
 Every subcommand prints a short plain-text answer by default and JSON
 with --format json (the table speaks TSV instead of plain text).  Exit
 status: 0 on success, 1 when an argument is outside an operation's
-domain, 2 for malformed usage.
+domain, 2 for malformed usage, and 141 (as for a process that SIGPIPE
+ends) when standard output is closed before the answer is written, as
+``| head -n 1`` may do; that case prints no traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -193,7 +196,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.sample:
+    if args.sample is not None:
         p = universality_sample(args.w, args.q, args.n, args.sample, args.seed)
     else:
         p = universality_scan(args.w, args.q, args.n)
@@ -205,7 +208,7 @@ def _cmd_scan(args) -> int:
         "p": str(p),
         "approx": float(p),
     }
-    if args.sample:
+    if args.sample is not None:
         lo, hi = wilson_interval(p, args.sample)
         lines.append(f"z={_WILSON_Z} Wilson interval [{lo:.4f}, {hi:.4f}]")
         payload["interval"] = [lo, hi]
@@ -271,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add(
         "scan", _cmd_scan, "fraction of period-n orbits with r^w below q", "w", "q", "n"
     )
-    p.add_argument("--sample", type=int, default=0)
+    p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("lone", _cmd_lone, "catalog of lone decorations")
@@ -283,13 +286,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CLOSED_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader has gone; what is still buffered goes to devnull, so
+        # that the interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _CLOSED_PIPE
 
 
 if __name__ == "__main__":

@@ -42,15 +42,10 @@ from .height import HALF, _check_in_scope, cq_word, height, scope
 from .words import (
     DomainError,
     _check_word,
+    _flip,
     _rotation_key,
     _rotation_keys,
     _unimodal_key,
-    append_even,
-    even_final_subwords,
-    even_initial_subwords,
-    flip_first,
-    flip_last,
-    prepend_even,
 )
 
 FORWARD = "forward"
@@ -119,20 +114,33 @@ def _compile(reads: tuple) -> tuple:
     return len(reads), max(map(len, feeds), default=0), go, ends
 
 
+# _mu_windows and _nu_windows spell words.flip_first, flip_last,
+# prepend_even, append_even and even_*_subwords with slices and a running
+# parity, since _plan has checked w once, through scope(w), before they run.
 def _mu_windows(w: str) -> tuple[str, ...]:
-    return tuple(
-        flip_first(v) + x
-        for v in even_final_subwords(prepend_even(w))
-        for x in "01"
-    )
+    """flip_first(v) x for each even suffix v of prepend_even(w), shortest
+    first, and x in 01."""
+    u = "01"[w.count("1") % 2] + w
+    out, odd = [], False
+    for i in range(len(u) - 1, -1, -1):
+        odd ^= u[i] == "1"
+        if not odd:
+            v = _flip(u[i]) + u[i + 1 :]
+            out += (v + "0", v + "1")
+    return tuple(out)
 
 
 def _nu_windows(w: str) -> tuple[str, ...]:
-    return tuple(
-        x + flip_last(v)
-        for v in even_initial_subwords(append_even(w))
-        for x in "01"
-    )
+    """x flip_last(v) for each even prefix v of append_even(w), shortest
+    first, and x in 01."""
+    u = w + "01"[w.count("1") % 2]
+    out, odd = [], False
+    for i, c in enumerate(u):
+        odd ^= c == "1"
+        if not odd:
+            v = u[:i] + _flip(c)
+            out += ("0" + v, "1" + v)
+    return tuple(out)
 
 
 def _lam_windows(w: str) -> tuple[str, ...]:
@@ -225,12 +233,13 @@ def _below(w: str, q: Fraction, N: int):
     occurrences has its ray, or both rays under "both", above T_q (see
     _threshold).  A key is sliced only for a read not yet flagged, and the
     test returns True at the first flag that makes lam or (mu and nu).
+    Codes are not checked: the scans pass only necklaces and sampled words,
+    after checking w, q, N and the sample size.
     """
     _, (_, L_max, go, ends) = _plan((w,))
     t = _threshold(q, N)
 
     def below(code: str) -> bool:
-        _check_word(code, allow_empty=False)
         fwd, bwd = _rotation_key(code), _rotation_key(code[::-1])
         above = [False] * 3  # lam, mu, nu, in the plan's read order
         s = 0

@@ -11,29 +11,30 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 from .height import _check_in_scope
 from .invariants import STAR, _below, _plan, _values
 from .orbits import classify
-from .words import DomainError, _unimodal_key, canonical_code, is_primitive
+from .words import DomainError, _is_primitive, _unimodal_key, canonical_code
 
 # Exact tables and scans enumerate about 2^n / n necklaces (necklaces(20) took
 # 0.8-1.0 s over seven runs and necklaces(24) 12 s, Python 3.11.7), so longer
 # necklaces are refused; sample them instead.
 MAX_EXACT_PERIOD = 24
-# A sampled orbit is tested on n-bit ray keys sliced one at a time, but when
-# no window occurrence settles the test early it slices about n of them, so
-# its time grows as n^2: one sample of r^1 took 0.16 ms at this limit with
-# q = 1/3 and 3.9-4.9 ms with q = 1/20, and 0.6-0.8 and 29-37 ms at n = 16,000,
-# all within 16 MB peak RSS (Python 3.11.7); longer periods are refused.
+# A sampled orbit is read once through its decoration's automaton and tested
+# on n-bit ray keys sliced one at a time, but when no window occurrence
+# settles the test early it slices about n of them, so its time grows as n^2:
+# one sample's test of r^1 took 0.10-0.12 ms at this limit with q = 1/3 and
+# 2.5-4.8 ms with q = 1/20, and 0.28-0.54 and 20-39 ms at n = 16,000, all
+# within 16 MB peak RSS (Python 3.11.7); longer periods are refused.
 MAX_SAMPLE_PERIOD = 4096
 # k samples of period n cost about as much as k * (n + _SAMPLE_OVERHEAD) symbols
-# when no sample stops early.  At this budget a sampled scan of r^1 took
-# 1.5-2.3 s at n = 1, 3.0 s at n = 64 with q = 1/6 and 4.0-4.9 s at n = 4,096
-# with q = 1/20, the slowest q tried for each n; with q = 1/3 it took 2.7 s
-# at n = 64 and 0.55 s at n = 4,096 (Python 3.11.7, 15 MB peak RSS at most);
-# larger budgets are refused.
+# when no sample stops early.  At this budget a sampled scan of r^1 with
+# q = 1/3, 1/6 and 1/20 took 1.1-1.9 s at n = 1 and 1.5-2.4 s at n = 64; at
+# n = 4,096 it took 0.4-0.6 s with q = 1/3 and 3.1-5.4 s with q = 1/20, the
+# slowest case (three runs each on 2 shared vCPUs, Python 3.11.7, 15 MB peak
+# RSS at most); larger budgets are refused.
 MAX_SAMPLE_SYMBOLS = 1 << 22
 _SAMPLE_OVERHEAD = 12
 # Width of the Wilson intervals around sampled shares, in standard deviations.
@@ -139,20 +140,30 @@ def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
 # consumes m outputs and puts the first in its lowest 32 bits.
 _SYMBOLS = bytes(b"01"[b >= 64] for b in range(256))
 _REDRAWN = bytes(range(128, 256))
+# Generator outputs drawn at a time, spelling about half as many symbols.  A
+# larger block, or one sized from n or k, raises a sample's peak memory: at
+# n = 64, k = 1,000 a block of 4,096 outputs added 40 KB of peak RSS to the
+# run, 512 outputs 8 KB and 256 outputs 4 KB, where drawing each word on its
+# own added 8 KB; a smaller block costs more time per output.
+_BLOCK = 256
 
 
-def _random_word(rng: random.Random, n: int) -> str:
-    """The word that n calls of rng.choice("01") spell, from the same draws.
+def _random_words(rng: random.Random, n: int):
+    """The words that successive runs of n rng.choice("01") calls spell.
 
-    Each round takes one output per missing symbol, so no output is drawn
-    that the calls would not have drawn.
+    The words are consecutive n-symbol pieces of one stream of symbols,
+    spelled a block of _BLOCK outputs at a time, so a word may begin in one
+    block and end in the next.  Up to a block of outputs is drawn past the
+    last word read, so pass a generator that nothing else draws from.
     """
-    word = ""
-    while len(word) < n:
-        m = n - len(word)
-        high = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
-        word += high.translate(_SYMBOLS, _REDRAWN).decode()
-    return word
+    rest = ""
+    while True:
+        high = rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little")[3::4]
+        stream = rest + high.translate(_SYMBOLS, _REDRAWN).decode()
+        end = len(stream) - len(stream) % n
+        for i in range(0, end, n):
+            yield stream[i : i + n]
+        rest = stream[end:]
 
 
 def universality_sample(
@@ -177,8 +188,7 @@ def universality_sample(
             f"sampling is limited to {MAX_SAMPLE_SYMBOLS} symbols"
             f" (k * (n + {_SAMPLE_OVERHEAD})), got {cost}"
         )
-    rng = random.Random(seed)
-    codes = islice(filter(is_primitive, (_random_word(rng, n) for _ in count())), k)
+    codes = islice(filter(_is_primitive, _random_words(random.Random(seed), n)), k)
     return Fraction(sum(map(_below(w, q, n), codes)), k)
 
 

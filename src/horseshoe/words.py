@@ -177,6 +177,11 @@ def unimodal_cmp(s: Seq, t: Seq) -> int:
 def is_primitive(word: str) -> bool:
     """True iff the word's least period equals its length."""
     _check_word(word, allow_empty=False)
+    return _is_primitive(word)
+
+
+def _is_primitive(word: str) -> bool:
+    """is_primitive on a word already known to be binary and nonempty."""
     return (word + word).find(word, 1) == len(word)
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +255,43 @@ def test_scan_sampled(capsys):
     # an exact scan has no interval
     code, out, _ = run(capsys, "scan", "1", "1/3", "8", "--format", "json")
     assert "interval" not in json.loads(out)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_scan_refuses_empty_sample(capsys, fmt):
+    """--sample 0 asks for a sample of no orbits, which is refused, and not
+    for the exact scan."""
+    code, out, err = run(
+        capsys, "scan", "1", "1/3", "5", "--sample", "0", "--format", fmt
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: need a positive period and sample size\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_exits_without_traceback(unbuffered):
+    """A reader that has gone before the answer is written, as `| head -n 1`
+    may be, ends the command with status 141 and nothing on stderr, whether
+    stdout writes each line or flushes its buffer at exit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "horseshoe.cli", "scan", "1", "2/5", "2",
+             "--sample", "50", "--seed", "4"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 141
+    assert done.stderr == b""
 
 
 def test_lone(capsys):

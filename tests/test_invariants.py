@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from horseshoe import invariants
-from horseshoe.families import lone_catalog
+from horseshoe.families import MAX_ONES_INDEX, lone_catalog, ones_decoration
 from horseshoe.invariants import (
     AT_THRESHOLD,
     BACKWARD,
@@ -33,7 +33,19 @@ from horseshoe.invariants import (
 )
 from horseshoe.height import cq_word, height, scope
 from horseshoe.survey import _DEFAULT_DECORATIONS, STAR, necklaces
-from horseshoe.words import GT, Seq, _rotation_key, canonical_code, unimodal_cmp
+from horseshoe.words import (
+    GT,
+    Seq,
+    _rotation_key,
+    append_even,
+    canonical_code,
+    even_final_subwords,
+    even_initial_subwords,
+    flip_first,
+    flip_last,
+    prepend_even,
+    unimodal_cmp,
+)
 
 F = Fraction
 
@@ -278,6 +290,21 @@ def test_scan_edge_cases_match_reference():
             )
             with pytest.raises(DomainError, match="sideways"):
                 _compile(((("1",), FORWARD), (("1", "0000000"), "sideways")))
+
+
+def test_windows_match_word_helpers():
+    """The mu and nu windows, spelled with slices and a running parity, are
+    the windows that the checked helpers of words build, in the same order,
+    for every word of length at most 10 and every odd-ones decoration."""
+    words = ["".join(p) for n in range(11) for p in product("01", repeat=n)]
+    words += [ones_decoration(i) for i in range(MAX_ONES_INDEX + 1)]
+    for w in words:
+        assert _mu_windows(w) == tuple(
+            flip_first(v) + x for v in even_final_subwords(prepend_even(w)) for x in "01"
+        ), w
+        assert _nu_windows(w) == tuple(
+            x + flip_last(v) for v in even_initial_subwords(append_even(w)) for x in "01"
+        ), w
 
 
 def test_automaton_matches_reference():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -16,7 +17,8 @@ from horseshoe.survey import (
     MAX_SAMPLE_SYMBOLS,
     STAR,
     DomainError,
-    _random_word,
+    _BLOCK,
+    _random_words,
     decinv_table,
     necklaces,
     universality_sample,
@@ -240,15 +242,34 @@ def test_sample_reads_no_height_per_code():
     assert height.cache_info().misses == 1
 
 
-def test_random_word_matches_choice_loop():
-    """Batched draws spell the words of the rng.choice loop and leave the
-    generator where the loop leaves it."""
+def test_random_words_follow_choice_loop():
+    """The sampler's words are the words that successive runs of n
+    rng.choice("01") calls spell, also where a word straddles two blocks
+    of draws and where n does not divide a block's symbols.
+
+    Successive runs of the loop spell consecutive n-symbol pieces of one
+    stream of rng.choice calls, which is drawn once per seed.  A block of
+    _BLOCK outputs spells about _BLOCK / 2 symbols, so the 2 * _BLOCK
+    symbols or more compared for each n run past the first block.  The
+    generator's state after a word is not compared, since the sampler draws
+    whole blocks.
+    """
+    sizes = (1, 2, 3, 7, 32, 64, 65, 256, 1000, 4096)
+    words = {n: -(-2 * _BLOCK // n) for n in sizes}
+    symbols = max(k * n for n, k in words.items())
+    straddled = dict.fromkeys(sizes, 0)
     for seed in range(300):
-        for n in (1, 2, 3, 7, 32, 64, 65, 256, 1000):
-            batched, looped = random.Random(seed), random.Random(seed)
-            want = "".join(looped.choice("01") for _ in range(n))
-            assert _random_word(batched, n) == want, (seed, n)
-            assert batched.random() == looped.random(), (seed, n)
+        choice = random.Random(seed).choice
+        stream = "".join([choice("01") for _ in range(symbols)])
+        high = random.Random(seed).getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little")
+        first = sum(b < 128 for b in high[3::4])  # symbols in the first block
+        for n, k in words.items():
+            got = list(islice(_random_words(random.Random(seed), n), k))
+            assert got == [stream[i * n : (i + 1) * n] for i in range(k)], (seed, n)
+            straddled[n] += first % n != 0 and first < k * n
+    assert straddled[1] == 0
+    # n = 2 divides the first block's symbols for about half the seeds
+    assert min(straddled[n] for n in sizes[1:]) >= 100, straddled
 
 
 def test_table_compiles_one_plan():
@@ -283,7 +304,7 @@ def test_sample_refused_above_limits(monkeypatch, capsys):
     def refuse(rng, n):
         raise AssertionError("a word was drawn")
 
-    monkeypatch.setattr(survey, "_random_word", refuse)
+    monkeypatch.setattr(survey, "_random_words", refuse)
     for n, size in (
         (MAX_SAMPLE_PERIOD + 1, 1),
         (MAX_SAMPLE_PERIOD, k + 1),
