@@ -8,8 +8,8 @@ w-decorated family member at parameter q exactly when q > r^w(R).
 The rays of R are rotations of R and of its reverse.  Height is
 non-increasing in the unimodal order, so the least height over a set of
 rays is the height of its unimodal-greatest ray: each invariant compares
-integer unimodal keys and then makes one :func:`~horseshoe.height.height`
-call.  An invariant is a read, a set of windows with a direction.
+integer unimodal keys and then reads one height, or its cap.  An invariant
+is a read, a set of windows with a direction.
 :func:`_plan` compiles the reads of a tuple of decorations once per tuple:
 lam, mu and nu for each r^w, capped at scope(w), and for r* a lam read of
 both rays at every position, capped at 1/2, with empty mu and nu reads.
@@ -20,7 +20,10 @@ read its window feeds.
 :func:`_values` turns each column's three keys and cap into r^w or r* by
 one rule, so tables, r-sequences and r_w read all invariants of a code from
 one scan; :func:`_parts` reads mu, nu and lam of one decoration from one
-scan, and r_dir compiles its own read.  Plans hold automata and caps only,
+scan, and r_dir compiles its own read.  A column is capped by key: its
+greatest key is compared with the cap's key from :func:`_cap_keys`, and
+only a key above it, whose height lies below the cap, makes a
+:func:`~horseshoe.height.height` call.  Plans hold automata and caps only,
 so height's cache stays the one store of ray heights.
 
 The universality scans ask only whether r^w(R) < q, and :func:`_below`
@@ -29,7 +32,8 @@ unimodal-greatest sequence of height q, so a ray's height is below q exactly
 when the ray lies above T_q, and for 0 < q < scope(w), r^w(R) < q exactly
 when both rays of some lam occurrence, or some mu ray and some nu ray, lie
 above T_q.  :func:`_threshold` turns "above T_q" into one integer
-comparison of N-bit ray keys, once per scan.  The read runs r^w's
+comparison of N-bit ray keys, once per scan, and for q up to and including
+1/2 also gives the cap keys.  The read runs r^w's
 automaton as :func:`_keys` does, with a flag per read in place of a
 greatest key, so both reads share one plan layout and one key-slicing rule.
 """
@@ -208,6 +212,11 @@ def _threshold(q: Fraction, N: int) -> int:
     """The N-symbol key that a period-N ray exceeds exactly when the ray lies
     above T_q = 10 (c_q[2:] 1)^inf in the unimodal order.
 
+    T_q is the unimodal-greatest sequence of height q for every 0 < q <= 1/2,
+    so a ray's height is below q exactly when its key exceeds this one.  The
+    scans ask it for 0 < q < scope(w); the capped read asks it for q equal to
+    a cap, scope(w) or r*'s 1/2, where a key at most this one reads the cap.
+
     A ray whose key differs from t, the key of T_q's first N symbols, is
     ordered against T_q by that difference.  The one ray with key t is s^inf
     for s = T_q[:N], and it is ordered once here, within M = N + |c_q| + 1
@@ -233,8 +242,8 @@ def _below(w: str, q: Fraction, N: int):
     occurrences has its ray, or both rays under "both", above T_q (see
     _threshold).  A key is sliced only for a read not yet flagged, and the
     test returns True at the first flag that makes lam or (mu and nu).
-    Codes are not checked: the scans pass only necklaces and sampled words,
-    after checking w, q, N and the sample size.
+    Codes are not checked: the scans pass only Lyndon words and sampled
+    words, after checking w, q, N and the sample size.
     """
     _, (_, L_max, go, ends) = _plan((w,))
     t = _threshold(q, N)
@@ -279,25 +288,44 @@ def _height(key: int, N: int) -> Fraction:
     return height(format(key ^ key >> 1, f"0{N}b"))
 
 
+# One entry per decoration tuple and period: a table pass asks one, an
+# entropy_certs pass one, and an oracle_sweep pass at most 147, the 21 lone
+# decorations of length <= 5 at each of its 7 periods.  Entries are keyed by
+# decorations, whose strings keep their hashes, not by caps, whose Fractions
+# would be hashed anew on every read.
+@lru_cache(maxsize=256)
+def _cap_keys(decorations: tuple, N: int) -> tuple[int, ...]:
+    """The key of each column's cap for period-N rays (see _threshold)."""
+    return tuple(_threshold(cap, N) for cap in _plan(decorations)[0])
+
+
 def _values(code: str, decorations: tuple) -> list[Fraction]:
-    """r^w for each decoration w, and r* where w is STAR, from one scan."""
+    """r^w for each decoration w, and r* where w is STAR, from one scan.
+
+    Each column's value is min(cap, height of its greatest key).  Height is
+    non-increasing in the key, so a key at most the cap's key reads the cap
+    with no height call, and a greater key reads a height below the cap.
+    """
     caps, scan = _plan(decorations)
     keys = iter(_keys(code, scan))
     N = len(code)
     # min(lam, max(mu, nu)) over heights is max(lam, min(mu, nu)) over keys
-    return [
-        min(cap, _height(max(lam_, min(mu_, nu_)), N))
-        for cap, lam_, mu_, nu_ in zip(caps, keys, keys, keys)
-    ]
+    out = []
+    for cap, t, lam_, mu_, nu_ in zip(caps, _cap_keys(decorations, N), keys, keys, keys):
+        k = max(lam_, min(mu_, nu_))
+        out.append(cap if k <= t else _height(k, N))
+    return out
 
 
 def _parts(w: str, code: str) -> tuple[Fraction, ...]:
-    """(mu, nu, lam, r^w) of one decoration, from one scan."""
+    """(mu, nu, lam, r^w) of one decoration, from one scan, each capped by
+    key as in _values."""
     _check_word(w)
     (s,), scan = _plan((w,))
     lam_, mu_, nu_ = _keys(code, scan)
     N = len(code)
-    m, n, l_ = (min(s, _height(k, N)) for k in (mu_, nu_, lam_))
+    (t,) = _cap_keys((w,), N)
+    m, n, l_ = (s if k <= t else _height(k, N) for k in (mu_, nu_, lam_))
     return m, n, l_, min(l_, max(m, n))
 
 

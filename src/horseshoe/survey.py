@@ -18,9 +18,12 @@ from .invariants import STAR, _below, _plan, _values
 from .orbits import classify
 from .words import DomainError, _is_primitive, _unimodal_key, canonical_code
 
-# Exact tables and scans enumerate about 2^n / n necklaces (necklaces(20) took
-# 0.8-1.0 s over seven runs and necklaces(24) 12 s, Python 3.11.7), so longer
-# necklaces are refused; sample them instead.
+# Exact tables and scans read about 2^n / n Lyndon words, one per necklace, so
+# their cost about quadruples every two periods.  At this limit the exact scan
+# of r^1 took 11-12 s (q = 1/3 and 1/20, 21 MB peak RSS), necklaces 8.5 s
+# (75 MB) and the table 83 s (270 MB); at n = 22 they took 2.2-2.4 s, 1.9 s
+# and 20 s, and at n = 20 0.6-1.4 s, 0.9 s and 7.1 s (Python 3.11.7 on 2
+# shared vCPUs).  Longer periods are refused; sample them instead.
 MAX_EXACT_PERIOD = 24
 # A sampled orbit is read once through its decoration's automaton and tested
 # on n-bit ray keys sliced one at a time, but when no window occurrence
@@ -41,9 +44,10 @@ _SAMPLE_OVERHEAD = 12
 _WILSON_Z = 3
 
 
-def necklaces(n: int) -> list[str]:
-    """Canonical codes of all primitive binary necklaces of length n; lengths
-    above MAX_EXACT_PERIOD raise DomainError before any is enumerated."""
+def _lyndon_words(n: int):
+    """An iterator over the Lyndon words of length n, one per primitive binary
+    necklace; lengths above MAX_EXACT_PERIOD raise DomainError at the call,
+    before any is enumerated."""
     if n < 1:
         raise DomainError(f"necklace length must be positive, got {n}")
     if n > MAX_EXACT_PERIOD:
@@ -51,17 +55,26 @@ def necklaces(n: int) -> list[str]:
             f"exact enumeration is limited to period {MAX_EXACT_PERIOD}, got {n};"
             " estimate larger periods with scan --sample"
         )
-    # Lyndon words in lexicographic order: repeat to length n, drop the
-    # trailing 1s, and raise the last 0 to 1
-    out = []
+    return _lyndon_stream(n)
+
+
+def _lyndon_stream(n: int):
+    """The Lyndon words of length n in lexicographic order.  Each word of
+    length at most n comes from the one before: repeat that to length n,
+    drop the trailing 1s, and raise the last 0 to 1."""
     w = "0"
     while w:
         if len(w) == n:
-            out.append(canonical_code(w))
+            yield w
         w = (w * (n // len(w) + 1))[:n].rstrip("1")
         if w:
             w = w[:-1] + "1"
-    return out
+
+
+def necklaces(n: int) -> list[str]:
+    """Canonical codes of all primitive binary necklaces of length n; lengths
+    above MAX_EXACT_PERIOD raise DomainError before any is enumerated."""
+    return list(map(canonical_code, _lyndon_words(n)))
 
 
 @dataclass(frozen=True)
@@ -106,9 +119,10 @@ def decinv_table(
         raise DomainError(f"table requires period at least 3, got {period}")
     decorations = tuple(decorations)
     groups: dict[tuple, list[str]] = {}
-    for code in necklaces(period):
-        info = classify(code)
-        groups.setdefault((info.kind, info.height, info.decoration), []).append(code)
+    for word in _lyndon_words(period):
+        info = classify(word)  # canonicalizes the word, once
+        key = (info.kind, info.height, info.decoration)
+        groups.setdefault(key, []).append(info.code)
     rows = []
     for members in groups.values():
         members.sort(key=_unimodal_key)
@@ -130,8 +144,10 @@ def universality_scan(w: str, q: Fraction, n: int) -> Fraction:
     height.MAX_CQ_DENOMINATOR, raise DomainError.
     """
     q = _check_in_scope(w, q)
-    codes = necklaces(n)
-    return Fraction(sum(map(_below(w, q, n), codes)), len(codes))
+    words = _lyndon_words(n)  # checks n before _below reads T_q's first n symbols
+    # _below reads every cyclic occurrence, so any rotation of a necklace will do
+    flags = list(map(_below(w, q, n), words))
+    return Fraction(sum(flags), len(flags))
 
 
 # rng.choice("01") keeps the top two bits of one 32-bit generator output and

@@ -254,6 +254,7 @@ def test_oracle_shares_no_formula_code():
         "_compile",
         "_below",
         "_threshold",
+        "_cap_keys",
     }
     assert not formula & set(vars(disks))
     functions = [

@@ -21,7 +21,9 @@ from horseshoe.invariants import (
     _mu_windows,
     _nu_windows,
     _parts,
+    _plan,
     _threshold,
+    _values,
     forces,
     lam,
     mu,
@@ -179,17 +181,26 @@ def test_r_dir_refuses_non_binary_windows():
     assert r_dir("1001", ["0", "1"], FORWARD) == r_dir("1001", ("0", "1"), FORWARD)
 
 
+def _capped_reference(code, decorations):
+    """The caps, and min(cap, height of the greatest key) of each column."""
+    caps, scan = _plan(decorations)
+    keys = iter(_keys(code, scan))
+    return caps, [
+        min(cap, _height(max(lam_, min(mu_, nu_)), len(code)))
+        for cap, lam_, mu_, nu_ in zip(caps, keys, keys, keys)
+    ]
+
+
 def test_one_height_per_invariant_read(monkeypatch):
-    """r* and each r^w read the height of one ray: 9 reads, at most 9 misses.
+    """r* and each r^w read the height of at most one ray, and none when the
+    column is capped: 9 reads, one height call per uncapped column.
 
     Rays reach height as plain words and no Seq is built on the way; a bad
     code raises each time and leaves nothing in the height cache.
     """
-    code = "10001001001001"
     decorations = [d for d in _DEFAULT_DECORATIONS if d != STAR]
     for w in decorations:
         scope(w)
-    height.cache_clear()
     built = []
     post_init = Seq.__post_init__
 
@@ -197,18 +208,46 @@ def test_one_height_per_invariant_read(monkeypatch):
         built.append(1)
         post_init(seq)
 
-    monkeypatch.setattr(Seq, "__post_init__", counted)
-    r_star(code)
-    for w in decorations:
-        r_w(w, code)
-    assert built == []
-    assert 0 < height.cache_info().misses <= 1 + len(decorations)
-    monkeypatch.undo()
+    # every column of the first code is capped; the second has 8 uncapped
+    for code, want in (("10001001001001", 0), ("10000010", 8)):
+        caps, values = _capped_reference(code, _DEFAULT_DECORATIONS)
+        assert sum(v != cap for v, cap in zip(values, caps)) == want
+        height.cache_clear()
+        monkeypatch.setattr(Seq, "__post_init__", counted)
+        r_star(code)
+        for w in decorations:
+            r_w(w, code)
+        monkeypatch.undo()
+        assert built == []
+        info = height.cache_info()
+        assert info.hits + info.misses == want, code
     # the height cache stores no exception either
     for bad in ("", "102"):
         for _ in range(2):
             with pytest.raises(DomainError):
                 r_dir(bad, ("0", "1"), BOTH)
+
+
+def test_columns_capped_by_key():
+    """_values, which compares each column's greatest key with its cap's key,
+    is min(cap, height of that key) for r*, the table's columns and the lone
+    decorations, on every necklace of period <= 12."""
+    assert check_capped_by_key(range(1, 13)) == (16_434, 11_883)
+
+
+def check_capped_by_key(periods):
+    """Compare _values with min(cap, _height(key)) over _keys; returns the
+    number of columns checked and how many of them read the cap."""
+    decorations = tuple(dict.fromkeys((*_DEFAULT_DECORATIONS, *lone_catalog(5))))
+    assert len(decorations) == 22
+    checked = capped = 0
+    for n in periods:
+        for code in necklaces(n):
+            caps, want = _capped_reference(code, decorations)
+            assert _values(code, decorations) == want, code
+            checked += len(want)
+            capped += sum(v == cap for v, cap in zip(want, caps))
+    return checked, capped
 
 
 def test_invariants_are_rotation_invariant():

@@ -65,6 +65,7 @@ CACHES = {
     "height._cq": 4096,
     "height.height": 1 << 17,
     "height.scope": 1024,
+    "invariants._cap_keys": 256,
     "invariants._plan": 1024,
 }
 

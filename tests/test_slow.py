@@ -17,7 +17,11 @@ from horseshoe.orbits import q_in_Qw_sufficient
 from horseshoe.survey import necklaces
 from horseshoe.words import GT, DomainError, Seq, canonical_code, unimodal_cmp
 from test_height import _rationals, _reference_scope, _threshold
-from test_invariants import assert_below_matches_r_w, assert_matches_reference
+from test_invariants import (
+    assert_below_matches_r_w,
+    assert_matches_reference,
+    check_capped_by_key,
+)
 from test_survey import assert_labels_match_reference
 from test_words import _reference_cmp
 
@@ -136,6 +140,17 @@ def test_below_matches_r_w_periods_to_14():
     checks = assert_below_matches_r_w(decorations, range(1, 15), 10)
     elapsed = time.perf_counter() - start
     print(f"\nthreshold read vs r_w, periods <= 14: {checks} agree, {elapsed:.1f} s")
+
+
+def test_columns_capped_by_key_periods_to_16():
+    """test_invariants.test_columns_capped_by_key on every necklace of
+    period <= 16."""
+    start = time.perf_counter()
+    checked, capped = check_capped_by_key(range(1, 17))
+    elapsed = time.perf_counter() - start
+    print(f"\ncapped read vs min(cap, height), periods <= 16: {checked} columns"
+          f" agree, {capped} capped, {elapsed:.1f} s")
+    assert (checked, capped) == (193_600, 127_178)
 
 
 def test_invariants_match_reference_on_long_codes():

@@ -7,7 +7,7 @@ import pytest
 from horseshoe import survey
 from horseshoe.cli import main
 from horseshoe.height import HALF, cq_word, finite_order_word, height, scope
-from horseshoe.invariants import _plan, r_star, r_w
+from horseshoe.invariants import _cap_keys, _plan, r_star, r_w
 from horseshoe.orbits import FINITE_ORDER, NBT, classify
 from horseshoe.survey import (
     _DEFAULT_DECORATIONS,
@@ -209,10 +209,10 @@ def test_table_values_match_one_invariant_per_call():
 
 
 def test_exact_enumeration_refused_above_limit(monkeypatch, capsys):
-    def refuse(word):
-        raise AssertionError(f"canonical_code({word!r}) was called")
+    def refuse(n):
+        raise AssertionError(f"words of length {n} were enumerated")
 
-    monkeypatch.setattr(survey, "canonical_code", refuse)
+    monkeypatch.setattr(survey, "_lyndon_stream", refuse)
     n = MAX_EXACT_PERIOD + 1
     with pytest.raises(DomainError, match="--sample"):
         necklaces(n)
@@ -225,8 +225,10 @@ def test_exact_enumeration_refused_above_limit(monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "scan --sample" in err
-    with pytest.raises(AssertionError, match="was called"):
+    with pytest.raises(AssertionError, match="were enumerated"):
         universality_scan("1", F(1, 3), MAX_EXACT_PERIOD)
+    with pytest.raises(DomainError, match="positive"):
+        universality_scan("1", F(1, 3), 0)
 
 
 def test_sample_reads_no_height_per_code():
@@ -273,12 +275,18 @@ def test_random_words_follow_choice_loop():
 
 
 def test_table_compiles_one_plan():
-    """Every member of a table is read through the same compiled plan."""
+    """Every member of a table is read through the same compiled plan and
+    capped by the same cap keys, which read the plan's caps once."""
     _plan.cache_clear()
+    _cap_keys.cache_clear()
     table = decinv_table(10)
-    assert sum(len(row.members) for row in table.rows) == len(necklaces(10))
+    members = len(necklaces(10))
+    assert sum(len(row.members) for row in table.rows) == members
     info = _plan.cache_info()
-    assert (info.misses, info.hits) == (1, len(necklaces(10)))
+    # a read per member, one for the cap keys and one for the scope row
+    assert (info.misses, info.hits) == (1, members + 1)
+    info = _cap_keys.cache_info()
+    assert (info.misses, info.hits) == (1, members - 1)
 
 
 def test_scope_row_follows_the_decorations():
