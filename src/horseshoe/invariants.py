@@ -33,9 +33,14 @@ when the ray lies above T_q, and for 0 < q < scope(w), r^w(R) < q exactly
 when both rays of some lam occurrence, or some mu ray and some nu ray, lie
 above T_q.  :func:`_threshold` turns "above T_q" into one integer
 comparison of N-bit ray keys, once per scan, and for q up to and including
-1/2 also gives the cap keys.  The read runs r^w's
-automaton as :func:`_keys` does, with a flag per read in place of a
-greatest key, so both reads share one plan layout and one key-slicing rule.
+1/2 also gives the cap keys.  A key above the threshold keeps its leading
+1 bits, which spell T_q's first symbols P = 1 0^(j-1), so a ray above T_q
+begins with P.  The read extends r^w's reads (:func:`_reads`) by P on the
+sides their rays leave from and runs their automaton as :func:`_keys`
+does, with a flag per read in place of a greatest key.  Only occurrences
+whose rays begin with P are emitted, and each of their keys is still
+compared with the threshold, since P is necessary but not sufficient; a
+code without P is not below.
 """
 from __future__ import annotations
 
@@ -151,6 +156,15 @@ def _lam_windows(w: str) -> tuple[str, ...]:
     return tuple(x + w + y for x in "01" for y in "01")
 
 
+def _reads(w: str) -> tuple:
+    """The reads lam, mu and nu of r^w, in that order, for a checked w."""
+    return (
+        (_lam_windows(w), BOTH),
+        (_mu_windows(w), FORWARD),
+        (_nu_windows(w), BACKWARD),
+    )
+
+
 # One entry per decoration tuple: a benchmark pass asks at most 21, the r^w
 # of each lone decoration of length <= 5 on oracle_sweep, and a table pass
 # asks one.
@@ -165,11 +179,7 @@ def _plan(decorations: tuple) -> tuple:
             reads += _STAR_READS
         else:
             caps.append(scope(w))
-            reads += [
-                (_lam_windows(w), BOTH),
-                (_mu_windows(w), FORWARD),
-                (_nu_windows(w), BACKWARD),
-            ]
+            reads += _reads(w)
     return tuple(caps), _compile(tuple(reads))
 
 
@@ -238,25 +248,47 @@ def _threshold(q: Fraction, N: int) -> int:
 def _below(w: str, q: Fraction, N: int):
     """The test r^w(R) < q on codes R of length N, for 0 < q < scope(w).
 
-    The code is read as in _keys, and a read is flagged when one of its
-    occurrences has its ray, or both rays under "both", above T_q (see
-    _threshold).  A key is sliced only for a read not yet flagged, and the
-    test returns True at the first flag that makes lam or (mu and nu).
+    Let t = _threshold(q, N) and j the number of leading 1 bits among its N.
+    Bit i of a ray's key is the parity of its first i + 1 symbols, so a ray
+    whose key exceeds t begins with P = 1 0^(j-1), T_q's first j symbols,
+    and for j = N no period-N ray lies above T_q.  Each read's windows are
+    therefore extended by P on the sides its rays leave from: v P forward,
+    P' v backward and P' v P under "both", P' being P reversed.  The
+    extended windows make one automaton, read as in _keys.  Its occurrences
+    are exactly the window occurrences whose rays begin with P, and their
+    rays leave j symbols inside the extended window's ends.  P is only
+    necessary, so each such ray's key is still compared with t: a read is
+    flagged when one of its occurrences has its ray, or both rays under
+    "both", above T_q.  A key is sliced only for a read not yet flagged, and
+    the test returns True at the first flag that makes lam or (mu and nu).
+    Every extended lam and mu window holds P, so a code whose cyclic
+    spelling holds no P is not below, and is decided without the walk.
     Codes are not checked: the scans pass only Lyndon words and sampled
     words, after checking w, q, N and the sample size.
     """
-    _, (_, L_max, go, ends) = _plan((w,))
     t = _threshold(q, N)
+    j = N - (~t & (1 << N) - 1).bit_length()
+    if j == N:
+        return lambda code: False
+    P = "1" + "0" * (j - 1)  # j >= 1, as t's top bit is T_q's first symbol
+    P_ = P[::-1]
+    reads = tuple(
+        (tuple(P_ * (d != FORWARD) + v + P * (d != BACKWARD) for v in windows), d)
+        for windows, d in _reads(w)
+    )
+    _, L_max, go, ends = _compile(reads)
 
     def below(code: str) -> bool:
+        if P not in code + code[:j]:
+            return False
         fwd, bwd = _rotation_key(code), _rotation_key(code[::-1])
-        above = [False] * 3  # lam, mu, nu, in the plan's read order
+        above = [False] * 3  # lam, mu, nu, in _reads' order
         s = 0
         for e, b in enumerate(_cyclic_bits(code, L_max)):
             node, s = ends[s], go[s + b]
-            # whether the forward ray at e, and each occurrence's backward
-            # ray, lie above T_q; each is sliced at most once, when a read
-            # first asks for it
+            # whether the forward ray at e - j, and each occurrence's
+            # backward ray, lie above T_q; each is sliced at most once, when
+            # a read first asks for it
             f = None
             while node is not None:
                 L, feeds, node = node
@@ -267,11 +299,11 @@ def _below(w: str, q: Fraction, N: int):
                     if above[i]:
                         continue
                     if d != 1:  # forward or both
-                        f = fwd(e % N) > t if f is None else f
+                        f = fwd((e - j) % N) > t if f is None else f
                         if not f:
                             continue
-                    if d != 0:  # backward or both
-                        g = bwd((L - e) % N) > t if g is None else g
+                    if d != 0:  # backward or both: the ray at p = e - L + j
+                        g = bwd((L - j - e) % N) > t if g is None else g
                         if not g:
                             continue
                     above[i] = True

@@ -25,19 +25,25 @@ from .words import DomainError, _is_primitive, _unimodal_key, canonical_code
 # and 20 s, and at n = 20 0.6-1.4 s, 0.9 s and 7.1 s (Python 3.11.7 on 2
 # shared vCPUs).  Longer periods are refused; sample them instead.
 MAX_EXACT_PERIOD = 24
-# A sampled orbit is read once through its decoration's automaton and tested
-# on n-bit ray keys sliced one at a time, but when no window occurrence
-# settles the test early it slices about n of them, so its time grows as n^2:
-# one sample's test of r^1 took 0.10-0.12 ms at this limit with q = 1/3 and
-# 2.5-4.8 ms with q = 1/20, and 0.28-0.54 and 20-39 ms at n = 16,000, all
-# within 16 MB peak RSS (Python 3.11.7); longer periods are refused.
+# A sampled orbit is decided by one substring search when it holds no T_q
+# forced prefix, and otherwise read once through an automaton of its
+# decoration's windows extended by that prefix, slicing an n-bit ray key
+# only where an occurrence reaches the prefix.  One sample's test of r^1
+# took 0.08-0.12 ms at this limit with q = 1/3 and 0.05-0.06 ms with
+# q = 1/20, and 0.23-0.37 and 0.21-0.68 ms at n = 16,000.  A code whose
+# every occurrence reaches the prefix and settles nothing still slices a
+# key per occurrence, so its time grows faster than n: (1 0^19 1011)^inf
+# cut to n took 0.77 ms at this limit and 4.1 ms at n = 16,000 with
+# q = 1/20, all within 16 MB peak RSS (Python 3.11.7); longer periods are
+# refused.
 MAX_SAMPLE_PERIOD = 4096
 # k samples of period n cost about as much as k * (n + _SAMPLE_OVERHEAD) symbols
 # when no sample stops early.  At this budget a sampled scan of r^1 with
-# q = 1/3, 1/6 and 1/20 took 1.1-1.9 s at n = 1 and 1.5-2.4 s at n = 64; at
-# n = 4,096 it took 0.4-0.6 s with q = 1/3 and 3.1-5.4 s with q = 1/20, the
-# slowest case (three runs each on 2 shared vCPUs, Python 3.11.7, 15 MB peak
-# RSS at most); larger budgets are refused.
+# q = 1/3, 1/6 and 1/20 took 0.15-0.26 s at n = 1; at n = 64 it took
+# 0.84-1.15 s with q = 1/3, the slowest case, 0.63-0.89 s with q = 1/6 and
+# 0.32-0.39 s with q = 1/20; at n = 4,096 it took 0.33-0.60 s (three runs
+# each on 2 shared vCPUs, Python 3.11.7, 15 MB peak RSS at most); larger
+# budgets are refused.
 MAX_SAMPLE_SYMBOLS = 1 << 22
 _SAMPLE_OVERHEAD = 12
 # Width of the Wilson intervals around sampled shares, in standard deviations.

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -45,6 +46,7 @@ from horseshoe.words import (
     even_initial_subwords,
     flip_first,
     flip_last,
+    is_primitive,
     prepend_even,
     unimodal_cmp,
 )
@@ -383,14 +385,15 @@ def test_automaton_matches_reference():
 BELOW_DECORATIONS = ("", "0", "1", "00", "11", "000", "111", "101")
 
 
-def assert_below_matches_r_w(decorations, periods, max_den) -> int:
+def assert_below_matches_r_w(decorations, periods, max_den, extra=()) -> int:
     """The threshold read against r^w < q on every necklace of the periods,
-    for every q in scope up to max_den; returns how many checks ran."""
+    for every q in scope up to max_den and every extra q in scope; returns
+    how many checks ran."""
     checks = 0
     for w in decorations:
         cap = scope(w)
-        qs = sorted({F(m, d) for d in range(2, max_den + 1) for m in range(1, d)})
-        qs = [q for q in qs if q < cap]
+        qs = {F(m, d) for d in range(2, max_den + 1) for m in range(1, d)} | set(extra)
+        qs = sorted(q for q in qs if q < cap)
         for n in periods:
             codes = necklaces(n)
             rs = [r_w(w, c) for c in codes]
@@ -438,10 +441,12 @@ def test_below_slices_keys_only_where_needed(monkeypatch):
     """The read slices a ray key only for an occurrence that feeds an unsettled
     read, and stops at the occurrence that settles the test.
 
-    The code 0 holds no window of r^1, so no key is sliced.  At q = 2/5 the
-    code 1111001 opens with 111, which feeds lam alone and has both rays
-    above T_q, so two slices settle the test; its later windows 110 and 011
-    feed nu and mu, which a walk that went on would slice for.
+    The code 0 is decided with no key sliced: it holds no window of r^1,
+    and at N = 1 no ray lies above T_q.  At q = 2/5 and N = 7 the forced
+    prefix is 10, and the cyclic code 1111001 holds 01 111 10, where lam's
+    window 111 has both rays above T_q, so two slices settle the test; its
+    windows 110 and 011 feed nu and mu, which a walk that went on would
+    slice for.
     """
     slices = []
     slicer = invariants._rotation_key
@@ -476,3 +481,122 @@ def test_below_builds_no_seq(monkeypatch):
     assert _below("1", F(2, 5), 7)("0101001")
     assert not _below("1", F(1, 20), 64)("1" + "0" * 63)
     assert built == []
+
+
+# q of large denominator, whose forced prefix 1 0^(j-1) few codes hold
+SMALL_QS = (F(1, 20), F(1, 40), F(3, 50), F(1, 10000))
+
+
+def _forced_prefix(q, N) -> str:
+    """1 0^(j-1), for j the leading 1 bits among _threshold(q, N)'s N."""
+    j = N - (~_threshold(q, N) & (1 << N) - 1).bit_length()
+    return "1" + "0" * (j - 1)
+
+
+def _codes_with_long_runs(rng, n, count):
+    """Primitive codes of length n spelled from random bits and blocks
+    1 0^k with 12 <= k <= 45, so that small-q prefixes occur in them."""
+    codes = []
+    while len(codes) < count:
+        code = ""
+        while len(code) < n:
+            if rng.random() < 0.3:
+                code += "1" + "0" * rng.randint(12, 45)
+            else:
+                code += "".join(rng.choice("01") for _ in range(rng.randint(1, 8)))
+        if is_primitive(code := code[:n]):
+            codes.append(code)
+    return codes
+
+
+def _near(r):
+    """The fractions just below and just above r with denominators up to
+    10,000."""
+    m = 10_000 // r.denominator
+    return F(r.numerator * m - 1, r.denominator * m), F(r.numerator * m + 1, r.denominator * m)
+
+
+def test_below_matches_r_w_at_small_q_on_long_codes():
+    """The prefix-extended read against r^w < q at periods 16-256, for q of
+    large denominator and for q at and next to each code's r^w."""
+    rng = random.Random(27)
+    counts = [0, 0]
+    for n in (16, 17, 21, 40, 64, 100, 128, 256):
+        for code in _codes_with_long_runs(rng, n, 6):
+            for w in ("1", "0", "101", "0110"):
+                cap, r = scope(w), r_w(w, code)
+                qs = set(SMALL_QS) | {r, *_near(r)}
+                for q in sorted(q for q in qs if 0 < q < cap):
+                    got = _below(w, q, n)(code)
+                    assert got == (r < q), (w, q, code, r)
+                    counts[got] += 1
+    assert min(counts) > 200, counts
+
+
+def test_below_forced_prefix_edges():
+    """The read at the edges of its forced prefix P = 1 0^(j-1)."""
+    # j = N, at N = 1 and 2 for every q and at N = 8 and 64 for small q:
+    # no period-N ray lies above T_q, so the test is constantly False
+    rng = random.Random(5)
+    qs = (F(2, 5), F(1, 3), F(1, 6)) + SMALL_QS
+    for q, N in [(q, N) for q in qs for N in (1, 2)] + [(F(1, 20), 8), (F(1, 10000), 64)]:
+        assert _threshold(q, N) == (1 << N) - 1, (q, N)
+        codes = necklaces(N) if N <= 8 else _codes_with_long_runs(rng, N, 20)
+        for w in ("1", "0", "101"):
+            if q < scope(w):
+                below = _below(w, q, N)
+                for code in codes:
+                    assert not below(code) and r_w(w, code) >= q, (w, q, code)
+    # the tie adjustment fires at q = 1/20 and N = 21, where T_q's first
+    # 21 symbols 1 0^19 1 spell a ray above T_q, and at q = 2/5 and N = 3
+    assert _forced_prefix(F(1, 20), 21) == "1" + "0" * 18
+    assert _forced_prefix(F(2, 5), 3) == "1"
+    for q, N, k in ((F(1, 20), 21, 15), (F(2, 5), 3, 0)):
+        codes = [
+            code
+            for z in range(k, N)
+            for tail in product("01", repeat=N - 1 - z)
+            if is_primitive(code := "1" + "0" * z + "".join(tail))
+        ]
+        for w in ("1", "0", "101"):
+            below = _below(w, q, N)
+            for code in codes:
+                assert below(code) == (r_w(w, code) < q), (w, q, code)
+    assert _rotation_key("1" + "0" * 19 + "1")(0) > _threshold(F(1, 20), 21)
+    # the only P of this code, and the lam occurrence that settles it,
+    # wrap around its end
+    code = "0" * 40 + "10101"
+    assert _forced_prefix(F(1, 20), 45) not in code
+    assert r_w("1", code) == F(1, 41)
+    assert _below("1", F(1, 20), 45)(code)
+
+
+def test_below_slices_no_key_without_the_forced_prefix(monkeypatch):
+    """At q = 1/20 and n = 64 a ray above T_q begins with P = 1 0^19.  A
+    code whose cyclic spelling holds no P, and so no 1 0^20, is decided with
+    no key sliced, though every window of r^1 occurs in it.  The second
+    code's one P, at position 0, follows only the mu window 011, so the
+    one key sliced is the forward ray at 0, which lies below T_q."""
+    assert _forced_prefix(F(1, 20), 64) == "1" + "0" * 19
+    slices = []
+    slicer = invariants._rotation_key
+
+    def counted(word):
+        key = slicer(word)
+
+        def sliced(i):
+            slices.append((word, i))
+            return key(i)
+
+        return sliced
+
+    monkeypatch.setattr(invariants, "_rotation_key", counted)
+    below = _below("1", F(1, 20), 64)
+    code = (("1110101" + "0" * 10) * 4)[:64]
+    assert all(v in code for v in _lam_windows("1") + _mu_windows("1") + _nu_windows("1"))
+    assert "1" + "0" * 19 not in code + code
+    assert not below(code)
+    assert slices == []
+    code = "1" + "0" * 19 + "110101" * 6 + "11010" + "011"
+    assert len(code) == 64 and not below(code)
+    assert slices == [(code, 0)]

@@ -2,6 +2,7 @@
 
 Run with ``python3 -m pytest -m slow -s``; each test prints its counts.
 """
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -12,12 +13,13 @@ import pytest
 from horseshoe.disks import forcing_oracle
 from horseshoe.families import lone_catalog
 from horseshoe.height import height, height_oracle, scope
-from horseshoe.invariants import _values, r_w
+from horseshoe.invariants import _below, _values, r_w
 from horseshoe.orbits import q_in_Qw_sufficient
 from horseshoe.survey import necklaces
 from horseshoe.words import GT, DomainError, Seq, canonical_code, unimodal_cmp
 from test_height import _rationals, _reference_scope, _threshold
 from test_invariants import (
+    _codes_with_long_runs,
     assert_below_matches_r_w,
     assert_matches_reference,
     check_capped_by_key,
@@ -133,13 +135,48 @@ def test_height_below_q_iff_above_threshold_on_short_sequences():
 
 def test_below_matches_r_w_periods_to_14():
     """The threshold read against r^w < q on every necklace of period <= 14,
-    for the 21 lone decorations and every q in scope up to denominator 10."""
+    for the 21 lone decorations and every q in scope up to denominator 10,
+    and 1/20, 1/40 and 1/10000, whose forced prefixes are long."""
     start = time.perf_counter()
     decorations = lone_catalog(5)
     assert len(decorations) == 21
-    checks = assert_below_matches_r_w(decorations, range(1, 15), 10)
+    checks = assert_below_matches_r_w(
+        decorations, range(1, 15), 10, extra=(F(1, 20), F(1, 40), F(1, 10000))
+    )
     elapsed = time.perf_counter() - start
     print(f"\nthreshold read vs r_w, periods <= 14: {checks} agree, {elapsed:.1f} s")
+
+
+def below_digest() -> tuple[int, str]:
+    """(codes below, SHA-256 of every flag) of _below over the 21 lone
+    decorations, 11 q down to 1/10000 and periods 16-256, on 60 seeded
+    codes per period whose long 0-runs hold small-q prefixes."""
+    rng = random.Random(20261020)
+    qs = (F(2, 5), F(1, 3), F(1, 4), F(1, 6), F(3, 10), F(2, 9), F(5, 17),
+          F(1, 20), F(1, 40), F(3, 50), F(1, 10000))
+    flags = bytearray()
+    for n in (16, 21, 32, 41, 64, 100, 128, 256):
+        codes = _codes_with_long_runs(rng, n, 60)
+        for w in lone_catalog(5):
+            for q in qs:
+                if q < scope(w):
+                    flags += bytes(map(_below(w, q, n), codes))
+    return sum(flags), hashlib.sha256(flags).hexdigest()
+
+
+# below_digest() of the read that sliced a ray key for every window
+# occurrence, before windows carried T_q's forced prefix
+BELOW_DIGEST = (20629, "ef4863b30053b98ee75a222dd5e995ebffffb505cbd3651cb379a1cbba5a61c6")
+
+
+def test_below_digest():
+    """_below's flags on 84,480 (w, q, code) at periods 16-256 and q down to
+    1/10000 equal BELOW_DIGEST."""
+    start = time.perf_counter()
+    count, digest = below_digest()
+    elapsed = time.perf_counter() - start
+    print(f"\n_below digest: {count} below, {digest[:16]}, {elapsed:.1f} s")
+    assert (count, digest) == BELOW_DIGEST
 
 
 def test_columns_capped_by_key_periods_to_16():
