@@ -10,7 +10,6 @@ ends) when standard output is closed before the answer is written, as
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -64,9 +63,15 @@ def _show_word(w: str) -> str:
     return w if w else "(empty)"
 
 
+def _json(payload) -> str:
+    import json  # imported on use, so that a command printing no JSON never loads it
+
+    return json.dumps(payload)
+
+
 def _emit(args, text_lines, payload) -> int:
     if args.format == "json":
-        print(json.dumps(payload))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)
@@ -98,7 +103,7 @@ def _cmd_classify(args) -> int:
     }
     if info.decoration is not None:
         payload["decoration"] = info.decoration
-    return _emit(args, [json.dumps(payload)], payload)
+    return _emit(args, [_json(payload)], payload)
 
 
 def _cmd_rinv(args) -> int:

@@ -14,7 +14,7 @@ disk gives a forcing test that is independent of the invariant formula.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,19 +24,14 @@ from .words import DomainError, _check_word, _unimodal_key, is_even, is_primitiv
 _ON_BOUNDARY = "point lies on the boundary orbit of the family"
 
 
-@dataclass(frozen=True)
-class DiskSpec:
-    """One of the four disks, named A, B, C or D.
+DiskSpec = namedtuple("DiskSpec", "name principal shifted")
+DiskSpec.__doc__ = """One of the four disks, named A, B, C or D.
 
-    ``principal`` and ``shifted`` are the repeating words of two periodic
-    thresholds.  ``principal`` bounds the ray leaving the disk on its own
-    side (the backward ray for A and B, the forward ray for C and D);
-    ``shifted`` bounds the shift of the opposite ray.
-    """
-
-    name: str
-    principal: str
-    shifted: str
+``principal`` and ``shifted`` are the repeating words of two periodic
+thresholds.  ``principal`` bounds the ray leaving the disk on its own
+side (the backward ray for A and B, the forward ray for C and D);
+``shifted`` bounds the shift of the opposite ray.
+"""
 
 
 # One entry per (w, q): an oracle_sweep pass asks about 900 distinct pairs.

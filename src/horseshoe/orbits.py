@@ -8,7 +8,7 @@ canonical codes factor as c_q x w y for a decoration word w.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .height import HALF, _check_in_scope, cq_word, height
@@ -53,15 +53,17 @@ def _canonical_height(code: str) -> Fraction:
     return height(code)
 
 
-@dataclass(frozen=True)
-class Classification:
-    code: str
-    period: int
-    height: Fraction
-    kind: str
-    decoration: str | None = None
-    x: str | None = None
-    y: str | None = None
+Classification = namedtuple(
+    "Classification",
+    "code period height kind decoration x y",
+    defaults=(None, None, None),
+)
+Classification.__doc__ = """What classify reports of an orbit.
+
+The canonical code (str), its period (int), its height (Fraction) and its
+kind (str); for a decorated orbit, whose code factors as c_q x w y, also
+the decoration w and the framing symbols x and y (str), otherwise None.
+"""
 
 
 def classify(code: str) -> Classification:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -83,19 +83,15 @@ def necklaces(n: int) -> list[str]:
     return list(map(canonical_code, _lyndon_words(n)))
 
 
-@dataclass(frozen=True)
-class TableRow:
-    label: str
-    members: tuple[str, ...]
-    values: tuple[Fraction, ...]
+TableRow = namedtuple("TableRow", "label members values")
+TableRow.__doc__ = """One row of a decoration invariant table: its label (str),
+its members' canonical codes (tuple of str) and its invariants, one
+Fraction per decoration."""
 
-
-@dataclass(frozen=True)
-class DecInvTable:
-    period: int
-    decorations: tuple[str, ...]
-    scope_row: tuple[Fraction, ...]
-    rows: tuple[TableRow, ...]
+DecInvTable = namedtuple("DecInvTable", "period decorations scope_row rows")
+DecInvTable.__doc__ = """A decoration invariant table: the period (int), the
+decorations (tuple of str), their scopes (tuple of Fraction) and the rows
+(tuple of TableRow)."""
 
 
 def _row_label(members: list[str]) -> str:

@@ -3,8 +3,8 @@
 Finite words are plain strings over the alphabet {0, 1}.  A periodic
 one-sided sequence is passed as its repeating word, as the rays of a
 periodic orbit and the disk thresholds are; :class:`Seq` is for sequences
-given with a preperiod, stored as a preperiodic part followed by a repeating
-part.  The unimodal order is the total order on one-sided sequences
+given with a preperiod: a small immutable value of a preperiodic part and a
+repeating part.  The unimodal order is the total order on one-sided sequences
 in which the lexicographic comparison at the first disagreement is reversed
 whenever the common prefix contains an odd number of 1s.  Replacing each
 symbol by the parity of the 1s up to and including it (the kneading
@@ -13,8 +13,6 @@ lexicographic order, so words of one length compare by an integer key, and
 all rotations of a word read their keys from one key of the word doubled.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 LT, EQ, GT = -1, 0, 1
 
@@ -76,19 +74,24 @@ def even_final_subwords(w: str) -> list[str]:
     return [w[k:] for k in range(len(w) - 1, -1, -1) if is_even(w[k:])]
 
 
-@dataclass(frozen=True)
 class Seq:
     """An eventually periodic one-sided sequence pre · per · per · per …
 
-    Instances are normalized on construction: the repeating part is reduced
-    to its primitive root and the preperiod is shortened as far as possible,
-    so equal sequences compare equal as values.
+    A small immutable value: instances are normalized on construction, the
+    repeating part reduced to its primitive root and the preperiod shortened
+    as far as possible, so equal sequences compare equal and hash alike.  A
+    Seq equals only another Seq, and is not iterable, since it has no end.
     """
 
-    pre: str
-    per: str
+    __slots__ = ("pre", "per")
+
+    def __init__(self, pre: str, per: str) -> None:
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "per", per)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check and normalize the two parts; every construction runs it."""
         _check_word(self.pre)
         _check_word(self.per, allow_empty=False)
         per = self.per
@@ -102,6 +105,26 @@ class Seq:
             per = per[-1] + per[:-1]
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Seq, (self.pre, self.per)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pre, self.per) == (other.pre, other.per)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pre, self.per))
+
+    def __repr__(self) -> str:
+        return f"Seq(pre={self.pre!r}, per={self.per!r})"
 
     @staticmethod
     def periodic(word: str) -> "Seq":

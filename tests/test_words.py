@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -93,6 +95,38 @@ def test_seq_indexing_prefix_shift():
     assert s.prefix(8) == "10011011"
     assert s.prefix(2) == "10"
     assert s.prefix(0) == ""
+
+
+def test_seq_value_semantics(monkeypatch):
+    """Seq is a value: equal sequences are equal and hash alike, only another
+    Seq equals one, it cannot be changed, and it keeps its construction hook."""
+    a, b = Seq("1001", "11"), Seq("100", "1")
+    assert (a.pre, a.per) == ("100", "1")
+    assert a == b and hash(a) == hash(b) == hash(("100", "1"))
+    assert len({a, b, Seq("", "1")}) == 2
+    assert a != Seq("10", "1")
+    assert Seq("", "1") != ("", "1") and ("", "1") != Seq("", "1")
+    assert str(Seq("", "1010")) == "(10)"
+    assert repr(a) == "Seq(pre='100', per='1')"
+    assert repr(Seq("", "1010")) == "Seq(pre='', per='10')"
+    for name in ("pre", "per", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, "1")
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b  # the refused assignments changed nothing
+    assert copy.copy(a) == pickle.loads(pickle.dumps(a)) == a
+    built = []
+    post_init = Seq.__post_init__
+
+    def counted(seq):
+        built.append(seq)
+        post_init(seq)
+
+    monkeypatch.setattr(Seq, "__post_init__", counted)
+    s = Seq("10", "011")
+    Seq.parse("1(10)")
+    assert len(built) == 2 and built[0] is s
 
 
 def test_seq_is_not_iterable():
