@@ -140,8 +140,11 @@ def root_bracket(coeffs: list[int]) -> tuple[Fraction, Fraction]:
     Vincent-Collins-Akritas bisection on exact integer coefficients visits
     the right half of (1, 2) first, so the first interval whose Descartes
     bound is one holds the largest root and every interval to its right has
-    been shown root-free.  Bisection on exact signs at dyadic points then
-    narrows it; p(a) and p(b) have opposite signs, or a == b is a root.
+    been shown root-free.  A float guess at the root then proposes the
+    aligned interval of width 2^-30 that holds it; the guess is only a
+    proposal, which exact signs at its ends accept or refuse, so it changes
+    no bracket.  Bisection on exact signs at dyadic points narrows a refused
+    one; p(a) and p(b) have opposite signs, or a == b is a root.
     Roots at 1 itself are out of range.  Raises DomainError when (1, 2] holds
     no root, and ArithmeticError when the largest root is a repeated one,
     which Descartes' bound never isolates.
@@ -172,15 +175,75 @@ def root_bracket(coeffs: list[int]) -> tuple[Fraction, Fraction]:
     raise DomainError("no root in (1, 2]")
 
 
-def _refine(coeffs: list[int], num: int, k: int) -> tuple[Fraction, Fraction]:
-    """Bisect (num / 2^k, (num + 1) / 2^k), which holds exactly one simple root.
+def _float_root(coeffs: list[int], num: int, k: int) -> float | None:
+    """A float guess at the root in (num / 2^k, (num + 1) / 2^k): Newton's
+    method, kept inside a bracket that float signs shrink, or None when the
+    coefficients or values leave the float range."""
+    try:
+        cs = [float(c) for c in reversed(coeffs)]
+    except OverflowError:
+        return None
 
-    p vanishes nowhere on the bracket but perhaps at its left end, so the
+    def at(x: float) -> tuple[float, float]:
+        p = dp = 0.0
+        for c in cs:
+            dp = dp * x + p
+            p = p * x + c
+        return p, dp
+
+    lo, hi = math.ldexp(num, -k), math.ldexp(num + 1, -k)
+    x, step = hi, hi - lo
+    p, dp = at(x)
+    rising = p > 0  # p keeps its sign at hi down to the root
+    for _ in range(100):
+        if not (math.isfinite(p) and math.isfinite(dp)):
+            return None
+        if p == 0:
+            return x
+        if (p > 0) == rising:
+            hi = x
+        else:
+            lo = x
+        # a Newton step that leaves the bracket, or does not halve the step
+        # before it, is replaced by bisection (rtsafe, Press et al.)
+        last, step = step, p / dp if dp else math.inf
+        y = x - step
+        if not (lo < y < hi and abs(step) <= abs(last) / 2):
+            y = (lo + hi) / 2
+            step = x - y
+        if abs(step) < 2.0**-32:  # within a level-30 interval of the root
+            return y
+        x = y
+        p, dp = at(x)
+    return x
+
+
+def _refine(coeffs: list[int], num: int, k: int) -> tuple[Fraction, Fraction]:
+    """Narrow (num / 2^k, (num + 1) / 2^k), which holds exactly one simple
+    root, to a dyadic bracket of width at most 2^-_BRACKET_BITS.
+
+    When k is below that level, a float guess x first proposes the aligned
+    interval [m, m + 1] / 2^30 with m = floor(x 2^30), then m - 1 and m + 1.
+    Exact signs accept one only when it lies in the isolating interval and
+    p is nonzero with opposite signs at its ends; it then holds the one
+    root, strictly inside, so it is the interval bisection ends in.  A root
+    that is a dyadic of level <= 30 gives a zero sign and is refused.
+    Otherwise, or when floats overflow, bisection on exact signs narrows the
+    interval: p vanishes nowhere on it but perhaps at its left end, so the
     loop runs until that end has the sign opposite to the right one.
     """
+    B = _BRACKET_BITS
+    x = _float_root(coeffs, num, k) if k < B else None
+    if x is not None:
+        m = math.floor(math.ldexp(x, B))
+        for a in (m, m - 1, m + 1):
+            if a >> (B - k) != num:  # outside the isolating interval
+                continue
+            if _sign_at(coeffs, a, B) * _sign_at(coeffs, a + 1, B) < 0:
+                return Fraction(a, 1 << B), Fraction(a + 1, 1 << B)
     sb = _sign_at(coeffs, num + 1, k)
     sa = _sign_at(coeffs, num, k)
-    while k < _BRACKET_BITS or sa != -sb:
+    while k < B or sa != -sb:
         num, k = 2 * num, k + 1
         sm = _sign_at(coeffs, num + 1, k)
         if sm == 0:

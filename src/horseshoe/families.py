@@ -15,10 +15,11 @@ from .words import DomainError, canonical_code
 
 # r_sequence compiles one plan over the decorations 1, 111, ..., 1^(2 i_max + 1),
 # whose windows total O(i_max^3) symbols, and _plan's cache keeps it.  At this
-# limit r_sequence("10011010", i_max) took 0.07 s and 21 MB peak RSS, pa_test
-# on a random code of length 264 0.07 s, and entropy_certificate("100111111",
-# i_max) 0.36 s; at i_max = 256 they took 0.39 s and 49 MB, 0.38 s and 2.8 s
-# (Python 3.11.7, 2 shared vCPUs); larger indices are refused.
+# limit r_sequence("10011010", i_max) took 0.03 s and 20 MB peak RSS, pa_test
+# on a random code of length 264 0.03 s, and entropy_certificate("100111111",
+# i_max) 0.32 s; at i_max = 256 they took 0.16 s and 48 MB, 0.12 s and 2.8 s
+# (cold processes, best of 5, Python 3.11.7, 2 shared vCPUs); larger indices
+# are refused.
 MAX_ONES_INDEX = 128
 
 def star_decoration(q: Fraction) -> str:

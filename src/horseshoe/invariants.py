@@ -33,14 +33,14 @@ when the ray lies above T_q, and for 0 < q < scope(w), r^w(R) < q exactly
 when both rays of some lam occurrence, or some mu ray and some nu ray, lie
 above T_q.  :func:`_threshold` turns "above T_q" into one integer
 comparison of N-bit ray keys, once per scan, and for q up to and including
-1/2 also gives the cap keys.  A key above the threshold keeps its leading
-1 bits, which spell T_q's first symbols P = 1 0^(j-1), so a ray above T_q
-begins with P.  The read extends r^w's reads (:func:`_reads`) by P on the
-sides their rays leave from and runs their automaton as :func:`_keys`
-does, with a flag per read in place of a greatest key.  Only occurrences
-whose rays begin with P are emitted, and each of their keys is still
-compared with the threshold, since P is necessary but not sufficient; a
-code without P is not below.
+1/2 also gives the cap keys.  A key above the threshold t is at least
+t + 1 and keeps its leading 1 bits, which spell P = 1 0^(j-1), so a ray
+above T_q begins with P.  The read extends r^w's reads (:func:`_reads`) by
+P on the sides their rays leave from and runs their automaton as
+:func:`_keys` does, with a flag per read in place of a greatest key.
+Only occurrences whose rays begin with P are emitted, and each of their
+keys is still compared with the threshold, since P is necessary but not
+sufficient; a code without P is not below.
 """
 from __future__ import annotations
 
@@ -53,7 +53,6 @@ from .words import (
     _check_word,
     _flip,
     _rotation_key,
-    _rotation_keys,
     _unimodal_key,
 )
 
@@ -198,19 +197,27 @@ def _keys(code: str, scan: tuple) -> list[int]:
     _check_word(code, allow_empty=False)
     N = len(code)
     # the forward ray at e reads the code from e; the backward ray at p
-    # reads leftward from p - 1, which is the reverse from N - p
-    fwd, bwd = _rotation_key(code), _rotation_keys(code[::-1])
+    # reads leftward from p - 1, which is the reverse from N - p.  Each key
+    # is sliced, only where a window ends, from one key of the code doubled
+    # or of its reverse doubled, as words._rotation_key slices it.
+    KF, KB = _unimodal_key(code * 2), _unimodal_key(code[::-1] * 2)
+    mask = (1 << N) - 1
+    flip = (0, mask)
     n_reads, L_max, go, ends = scan
     best = [0] * n_reads
     s = 0
     for e, b in enumerate(_cyclic_bits(code, L_max)):
         node, s = ends[s], go[s + b]
-        kf = 0 if node is None else fwd(e % N)
+        if node is None:
+            continue
+        r = e % N
+        kf = KF >> (N - r) & mask ^ flip[KF >> (2 * N - r) & 1]
         while node is not None:
             L, feeds, node = node
             if e - L >= N:
                 break
-            kb = bwd[L - e]  # bwd[-p]
+            r = (L - e) % N  # N - p, mod N
+            kb = KB >> (N - r) & mask ^ flip[KB >> (2 * N - r) & 1]
             ks = (kf, kb, kb if kb < kf else kf)  # indexed like _DIRECTIONS
             for i, d in feeds:
                 if ks[d] > best[i]:
@@ -248,10 +255,11 @@ def _threshold(q: Fraction, N: int) -> int:
 def _below(w: str, q: Fraction, N: int):
     """The test r^w(R) < q on codes R of length N, for 0 < q < scope(w).
 
-    Let t = _threshold(q, N) and j the number of leading 1 bits among its N.
-    Bit i of a ray's key is the parity of its first i + 1 symbols, so a ray
-    whose key exceeds t begins with P = 1 0^(j-1), T_q's first j symbols,
-    and for j = N no period-N ray lies above T_q.  Each read's windows are
+    Let t = _threshold(q, N).  No N-bit key exceeds t = 1^N, so then no
+    period-N ray lies above T_q.  Otherwise the keys above t are the keys at
+    least t + 1, which keep its leading 1 bits; let j be their number.  Bit
+    i of a ray's key is the parity of its first i + 1 symbols, so a ray
+    whose key exceeds t begins with P = 1 0^(j-1).  Each read's windows are
     therefore extended by P on the sides its rays leave from: v P forward,
     P' v backward and P' v P under "both", P' being P reversed.  The
     extended windows make one automaton, read as in _keys.  Its occurrences
@@ -267,10 +275,11 @@ def _below(w: str, q: Fraction, N: int):
     words, after checking w, q, N and the sample size.
     """
     t = _threshold(q, N)
-    j = N - (~t & (1 << N) - 1).bit_length()
-    if j == N:
+    if t + 1 >> N:
         return lambda code: False
-    P = "1" + "0" * (j - 1)  # j >= 1, as t's top bit is T_q's first symbol
+    j = N - (~(t + 1) & (1 << N) - 1).bit_length()
+    # j >= 1: t + 1 is at least the key of T_q[:N], whose top bit is 1
+    P = "1" + "0" * (j - 1)
     P_ = P[::-1]
     reads = tuple(
         (tuple(P_ * (d != FORWARD) + v + P * (d != BACKWARD) for v in windows), d)

@@ -11,6 +11,10 @@ symbol by the parity of the 1s up to and including it (the kneading
 coordinates of Milnor and Thurston) turns that order into plain
 lexicographic order, so words of one length compare by an integer key, and
 all rotations of a word read their keys from one key of the word doubled.
+A key's first two bits are the parities of its word's first one and two
+symbols, so of the rotations of a primitive word of length at least 2, which
+holds 10 cyclically, the unimodal-greatest begins with 10 (key bits 11):
+:func:`canonical_code` reads only the rotations that start there.
 """
 from __future__ import annotations
 
@@ -181,11 +185,6 @@ def _rotation_key(word: str):
     return lambda i: K >> (N - i) & mask ^ flip[K >> (2 * N - i) & 1]
 
 
-def _rotation_keys(word: str) -> list[int]:
-    """The unimodal keys of word[i:] + word[:i], i < |word|."""
-    return list(map(_rotation_key(word), range(len(word))))
-
-
 def unimodal_cmp(s: Seq, t: Seq) -> int:
     """Compare two sequences in the unimodal order; returns LT, EQ or GT.
 
@@ -213,9 +212,22 @@ def canonical_code(word: str) -> str:
 
     This is the code read from the rightmost point of the corresponding
     periodic orbit, and is the canonical spelling used throughout.
+
+    Only the rotations that begin with 10 are read.  A primitive root of
+    length N >= 2 holds both symbols, so it holds 10 cyclically.  A key's
+    first two bits are the parities of its rotation's first one and two
+    symbols, so a rotation beginning with 10 has a key beginning with 11,
+    above every key of a rotation beginning with 0 (first bit 0) or with
+    11 (first bits 10); the greatest rotation therefore begins with 10.
     """
     _check_word(word, allow_empty=False)
     word = word[: (word + word).find(word, 1)]
-    keys = _rotation_keys(word)
-    k = keys.index(max(keys))
+    if len(word) == 1:
+        return word
+    ring, starts = word + word[0], []  # each cyclic 10 starts below |word|
+    i = ring.find("10")
+    while i >= 0:
+        starts.append(i)
+        i = ring.find("10", i + 1)
+    k = max(starts, key=_rotation_key(word))
     return word[k:] + word[:k]

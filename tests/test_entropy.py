@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from horseshoe import entropy
 from horseshoe.entropy import (
     DomainError,
     Hbar_poly,
@@ -183,6 +184,115 @@ def test_root_bracket_certified():
             poly, root, log_root = _certificate(i, q)
             assert list(poly) == Hbar_poly(i, q) and root == a
             assert log_root <= math.log(a)
+
+
+def _bisect(coeffs, num, k):
+    """The refinement by exact bisection alone: halve the isolating interval
+    (num / 2^k, (num + 1) / 2^k) until it is at level 30 or deeper and p
+    changes sign across it, or return a dyadic root met on the way."""
+    sign = entropy._sign_at
+    sb, sa = sign(coeffs, num + 1, k), sign(coeffs, num, k)
+    while k < 30 or sa != -sb:
+        num, k = 2 * num, k + 1
+        sm = sign(coeffs, num + 1, k)
+        if sm == 0:
+            return F(num + 1, 1 << k), F(num + 1, 1 << k)
+        if sm != sb:
+            num, sa = num + 1, sm
+    return F(num, 1 << k), F(num + 1, 1 << k)
+
+
+def _refined(monkeypatch, p):
+    """root_bracket(p), and for each refinement its isolating interval
+    (num, k) and the levels of the exact signs it read."""
+    refined, refine, sign = [], entropy._refine, entropy._sign_at
+
+    def recorded(coeffs, num, k):
+        refined.append((num, k, []))
+        return refine(coeffs, num, k)
+
+    def signed(coeffs, num, k):
+        if refined:
+            refined[-1][2].append(k)
+        return sign(coeffs, num, k)
+
+    with monkeypatch.context() as m:
+        m.setattr(entropy, "_refine", recorded)
+        m.setattr(entropy, "_sign_at", signed)
+        return root_bracket(p), refined
+
+
+def test_root_bracket_equals_bisection(monkeypatch):
+    """The float guess changes no bracket: on the H and Hbar polynomials of
+    i <= 5 and 0 < q < 1/2 with denominators up to 39, root_bracket equals
+    exact bisection of the same isolating interval, and each guess, or a
+    neighbour of it, is accepted by exact signs at level 30, with no
+    bisection."""
+    qs = _fractions_below_half(39)
+    for i in range(6):
+        for q in qs:
+            for p in (Hbar_poly(i, q), H_poly(i, q)):
+                got, [(num, k, levels)] = _refined(monkeypatch, p)
+                assert got == _bisect(p, num, k), (i, q)
+                assert k < 30 and set(levels) == {30}, (i, q, levels)
+    assert len(qs) * 12 == 2832
+
+
+def test_root_bracket_outside_float_range(monkeypatch):
+    """Coefficients above float range, or values that overflow floats, fall
+    back to bisection and give the bracket of the unscaled polynomial."""
+    want = root_bracket([-3, 0, 1])  # sqrt(3)
+    assert want == _bisect([-3, 0, 1], 3, 1)
+    for p in (
+        [-3 * 10**400, 0, 10**400],  # float(coefficient) overflows
+        [0] * 120 + [-3 * 10**300, 0, 10**300],  # p(x) overflows near sqrt(3)
+    ):
+        got, [(_, _, levels)] = _refined(monkeypatch, p)
+        assert got == want
+        assert min(levels) < 30  # bisected
+
+
+def test_root_bracket_isolated_past_level_30(monkeypatch):
+    """Roots 5/3 and 5/3 + 2^-39 / 3 are isolated below level 30, so no
+    guess is made and bisection alone narrows the bracket."""
+    p = _pmul([-5, 3], [-(5 * 2**40 + 2), 3 * 2**40])
+    guesses, guess = [], entropy._float_root
+
+    def counted(*args):
+        guesses.append(args)
+        return guess(*args)
+
+    monkeypatch.setattr(entropy, "_float_root", counted)
+    got, [(num, k, _)] = _refined(monkeypatch, p)
+    assert k > 30 and guesses == []
+    assert got == _bisect(p, num, k)
+    a, b = got
+    assert _value(p, a) * _value(p, b) < 0 and sturm_count(p, b, 2) == 0
+
+
+def test_root_bracket_refuses_bad_guesses(monkeypatch):
+    """A guess is a proposal only: exact signs refuse an interval outside
+    the isolating one, though it holds the other root, and an interval
+    where p does not change sign; a guess one interval off is mended by its
+    neighbour.  Roots 4/3 and 8/5, with 8/5 isolated in (3/2, 2)."""
+    p = _pmul([-4, 3], [-8, 5])
+    _, [(num, k, _)] = _refined(monkeypatch, p)
+    assert (num, k) == (3, 1)
+    want = _bisect(p, num, k)
+    assert want[0] < F(8, 5) < want[1]
+    eps = 2.0**-30
+    for x, bisected in (
+        (4 / 3, True),  # the other root, outside (3/2, 2)
+        (1.5, True),  # the isolating interval's left end
+        (1.999, True),  # no sign change near the right end
+        (1.6 - eps, False),  # one interval below the root's
+        (1.6 + eps, False),  # one interval above it
+        (1.6, False),
+    ):
+        monkeypatch.setattr(entropy, "_float_root", lambda *args: x)
+        got, [(_, _, levels)] = _refined(monkeypatch, p)
+        assert got == want, x
+        assert (min(levels) < 30) == bisected, x
 
 
 def test_roots_increase_toward_limit():

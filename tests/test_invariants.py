@@ -14,6 +14,7 @@ from horseshoe.invariants import (
     FORWARD,
     NOT_FORCED,
     DomainError,
+    _STAR_READS,
     _below,
     _compile,
     _height,
@@ -23,6 +24,7 @@ from horseshoe.invariants import (
     _nu_windows,
     _parts,
     _plan,
+    _reads,
     _threshold,
     _values,
     forces,
@@ -40,6 +42,7 @@ from horseshoe.words import (
     GT,
     Seq,
     _rotation_key,
+    _unimodal_key,
     append_even,
     canonical_code,
     even_final_subwords,
@@ -382,6 +385,46 @@ def test_automaton_matches_reference():
             assert got == [_reference_r_dir(code, ws, d) for ws, d in odd_reads], code
 
 
+def _reference_keys(code, decorations):
+    """The greatest ray key of each read of the decorations' plan, from the
+    key of each rotation of the code and of its reverse; 0 for a read whose
+    windows do not occur."""
+    N, rev = len(code), code[::-1]
+    forward = [_unimodal_key(code[i:] + code[:i]) for i in range(N)]
+    backward = [_unimodal_key(rev[i:] + rev[:i]) for i in range(N)]
+    reads = [
+        r for w in decorations for r in (_STAR_READS if w == STAR else _reads(w))
+    ]
+    out = []
+    for windows, d in reads:
+        best = 0
+        for v in windows:
+            cyclic = code * (len(v) // N + 2)
+            for p in range(N):
+                if cyclic.startswith(v, p):
+                    # the forward ray leaves the window's right end, and the
+                    # backward ray at p reads the reverse from N - p
+                    kf, kb = forward[(p + len(v)) % N], backward[(N - p) % N]
+                    best = max(best, {FORWARD: kf, BACKWARD: kb, BOTH: min(kf, kb)}[d])
+        out.append(best)
+    return out
+
+
+def test_keys_on_long_codes():
+    """_keys slices each ray key where a window ends, from one key of the
+    code doubled or of its reverse doubled; it equals the greatest key of
+    each read's rays, read from every rotation, on seeded codes of length
+    33-200, whose keys pass 64 bits, under the r*, table and lone-catalog
+    plans."""
+    rng = random.Random(29)
+    plans = ((STAR,), _DEFAULT_DECORATIONS, tuple(lone_catalog(5)))
+    for _ in range(30):
+        code = "".join(rng.choice("01") for _ in range(rng.randint(33, 200)))
+        for decorations in plans:
+            got = _keys(code, _plan(decorations)[1])
+            assert got == _reference_keys(code, decorations), (code, decorations)
+
+
 BELOW_DECORATIONS = ("", "0", "1", "00", "11", "000", "111", "101")
 
 
@@ -488,8 +531,9 @@ SMALL_QS = (F(1, 20), F(1, 40), F(3, 50), F(1, 10000))
 
 
 def _forced_prefix(q, N) -> str:
-    """1 0^(j-1), for j the leading 1 bits among _threshold(q, N)'s N."""
-    j = N - (~_threshold(q, N) & (1 << N) - 1).bit_length()
+    """1 0^(j-1), for j the leading 1 bits among the N of t + 1, the least
+    key above t = _threshold(q, N) < 2^N - 1."""
+    j = N - (~(_threshold(q, N) + 1) & (1 << N) - 1).bit_length()
     return "1" + "0" * (j - 1)
 
 
@@ -548,9 +592,10 @@ def test_below_forced_prefix_edges():
                 for code in codes:
                     assert not below(code) and r_w(w, code) >= q, (w, q, code)
     # the tie adjustment fires at q = 1/20 and N = 21, where T_q's first
-    # 21 symbols 1 0^19 1 spell a ray above T_q, and at q = 2/5 and N = 3
-    assert _forced_prefix(F(1, 20), 21) == "1" + "0" * 18
-    assert _forced_prefix(F(2, 5), 3) == "1"
+    # 21 symbols 1 0^19 1 spell a ray above T_q, and at q = 2/5 and N = 3;
+    # t + 1 has one more leading 1 bit than t there, so P is one longer
+    assert _forced_prefix(F(1, 20), 21) == "1" + "0" * 19
+    assert _forced_prefix(F(2, 5), 3) == "10"
     for q, N, k in ((F(1, 20), 21, 15), (F(2, 5), 3, 0)):
         codes = [
             code
@@ -576,7 +621,11 @@ def test_below_slices_no_key_without_the_forced_prefix(monkeypatch):
     code whose cyclic spelling holds no P, and so no 1 0^20, is decided with
     no key sliced, though every window of r^1 occurs in it.  The second
     code's one P, at position 0, follows only the mu window 011, so the
-    one key sliced is the forward ray at 0, which lies below T_q."""
+    one key sliced is the forward ray at 0, which lies below T_q.
+
+    At n = 21, t = 1^19 0 1 has 19 leading 1 bits, but P is read from the
+    least key above it, t + 1 = 1^20 0, so P = 1 0^19 there too, and a code
+    holding 1 0^18 but no 1 0^19 slices no key."""
     assert _forced_prefix(F(1, 20), 64) == "1" + "0" * 19
     slices = []
     slicer = invariants._rotation_key
@@ -591,6 +640,8 @@ def test_below_slices_no_key_without_the_forced_prefix(monkeypatch):
         return sliced
 
     monkeypatch.setattr(invariants, "_rotation_key", counted)
+    assert _threshold(F(1, 20), 21) == int("1" * 19 + "01", 2)
+    assert not _below("1", F(1, 20), 21)("1" + "0" * 18 + "11")
     below = _below("1", F(1, 20), 64)
     code = (("1110101" + "0" * 10) * 4)[:64]
     assert all(v in code for v in _lam_windows("1") + _mu_windows("1") + _nu_windows("1"))
@@ -600,3 +651,4 @@ def test_below_slices_no_key_without_the_forced_prefix(monkeypatch):
     code = "1" + "0" * 19 + "110101" * 6 + "11010" + "011"
     assert len(code) == 64 and not below(code)
     assert slices == [(code, 0)]
+

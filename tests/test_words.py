@@ -248,13 +248,35 @@ def test_rotation_key_is_key_of_each_rotation():
         key = words._rotation_key(word)
         want = [words._unimodal_key(word[i:] + word[:i]) for i in range(len(word))]
         assert [key(i) for i in range(len(word))] == want, word
-        assert words._rotation_keys(word) == want, word
 
 
 @given(w=st.text(alphabet="01", min_size=1, max_size=8), k=st.integers(0, 7))
 def test_canonical_code_rotation_invariant(w, k):
     k %= len(w)
     assert canonical_code(w[k:] + w[:k]) == canonical_code(w)
+
+
+def _reference_canonical(word):
+    """The greatest rotation, by unimodal key, of the word's primitive root,
+    found by trying every period and every rotation."""
+    n = len(word)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word)
+    root = word[:d]
+    return max((root[i:] + root[:i] for i in range(d)), key=words._unimodal_key)
+
+
+def test_canonical_code_reads_starts_of_10():
+    """canonical_code, which reads only the rotations starting with 10,
+    equals the greatest of all rotations: every word of length <= 14 and
+    seeded words of length up to 300, primitive or not."""
+    assert [canonical_code(w) for w in ("0", "1", "11", "0101")] == ["0", "1", "1", "10"]
+    ws = ["".join(bits) for n in range(1, 15) for bits in product("01", repeat=n)]
+    rng = random.Random(29)
+    for n in range(15, 301, 3):
+        word = "".join(rng.choice("01") for _ in range(n))
+        ws += [word, word[: n // 3] * 3]
+    for word in ws:
+        assert canonical_code(word) == _reference_canonical(word), word
 
 
 def test_canonical_code_is_unimodal_max_rotation():
