@@ -52,7 +52,6 @@ from .invariants import (
     r_dir,
     r_star,
     r_w,
-    rhe_is_half,
 )
 from .orbits import (
     DECORATED,
@@ -83,15 +82,10 @@ from .words import (
     LT,
     DomainError,
     Seq,
-    append_even,
     canonical_code,
-    even_final_subwords,
-    even_initial_subwords,
-    flip_first,
     flip_last,
     is_even,
     is_primitive,
-    prepend_even,
     unimodal_cmp,
 )
 

@@ -111,7 +111,7 @@ def in_disk(code: str, offset: int, spec: DiskSpec) -> bool:
 
     If one of the point's rays sits exactly on a threshold the point
     belongs to the family's boundary orbit itself and a DomainError is
-    raised.
+    raised.  No package code calls it; the bench tracer binds it.
     """
     _check_word(code, allow_empty=False)
     inside = _members(code, (spec,))[0][offset % len(code)]

@@ -45,7 +45,9 @@ def _monomial(k: int) -> list[int]:
 
 
 def eval_poly(coeffs: list[int], x: float) -> float:
-    """Evaluate a coefficient list (constant term first) at x by Horner."""
+    """Evaluate a coefficient list (constant term first) at x by Horner.
+
+    No package code calls it; the bench tracer binds it."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c

@@ -122,12 +122,12 @@ def _compile(reads: tuple) -> tuple:
     return len(reads), max(map(len, feeds), default=0), go, ends
 
 
-# _mu_windows and _nu_windows spell words.flip_first, flip_last,
-# prepend_even, append_even and even_*_subwords with slices and a running
-# parity, since _plan has checked w once, through scope(w), before they run.
+# The windows of mu and nu, from the even final and initial subwords (the
+# nonempty suffixes and prefixes with an even number of 1s) of w made even
+# by one symbol; _plan has checked w, through scope(w), so slices spell them.
 def _mu_windows(w: str) -> tuple[str, ...]:
-    """flip_first(v) x for each even suffix v of prepend_even(w), shortest
-    first, and x in 01."""
+    """v' x for each even final subword v of e w, shortest first, and x in
+    01, where e makes e w even and v' is v with its first symbol changed."""
     u = "01"[w.count("1") % 2] + w
     out, odd = [], False
     for i in range(len(u) - 1, -1, -1):
@@ -139,8 +139,8 @@ def _mu_windows(w: str) -> tuple[str, ...]:
 
 
 def _nu_windows(w: str) -> tuple[str, ...]:
-    """x flip_last(v) for each even prefix v of append_even(w), shortest
-    first, and x in 01."""
+    """x v' for each even initial subword v of w e, shortest first, and x in
+    01, where e makes w e even and v' is v with its last symbol changed."""
     u = w + "01"[w.count("1") % 2]
     out, odd = [], False
     for i, c in enumerate(u):
@@ -429,19 +429,3 @@ def _forces(code: str, w: str, q: Fraction) -> tuple[Fraction, str]:
     r = r_w(w, code)
     return r, FORCED if q > r else NOT_FORCED if q < r else AT_THRESHOLD
 
-
-def rhe_is_half(code: str) -> bool:
-    """True iff the right-hand end invariant of the orbit is 1/2.
-
-    Holds exactly when the cyclic code contains 01010 or a 1-run of odd
-    length at least 3.
-    """
-    _check_word(code, allow_empty=False)
-    if "0" not in code:
-        return False
-    doubled = code * (5 // len(code) + 3)
-    if "01010" in doubled:
-        return True
-    k = code.index("0")
-    rot = code[k + 1 :] + code[: k + 1]  # rotate to end on that 0
-    return any(len(run) % 2 == 1 and len(run) >= 3 for run in rot.split("0"))

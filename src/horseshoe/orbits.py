@@ -41,7 +41,10 @@ def orbit_height(code: str) -> Fraction:
     """The height of the periodic orbit with the given code.
 
     The code is brought to canonical form first.  A paired code ending in
-    1 takes its height from its partner ending in 0.
+    1 takes its height from its partner ending in 0.  No code is known whose
+    own height differs (none with n <= 20); the detour is kept so partners
+    share one height-cache entry: ``table --period 14`` misses 2,522 times
+    with it and 2,655 without.
     """
     return _canonical_height(canonical_code(code))
 

@@ -34,7 +34,6 @@ from horseshoe.invariants import (
     r_dir,
     r_star,
     r_w,
-    rhe_is_half,
 )
 from horseshoe.height import cq_word, height, scope
 from horseshoe.survey import _DEFAULT_DECORATIONS, STAR, necklaces
@@ -43,15 +42,18 @@ from horseshoe.words import (
     Seq,
     _rotation_key,
     _unimodal_key,
-    append_even,
     canonical_code,
+    flip_last,
+    is_primitive,
+    unimodal_cmp,
+)
+
+from _word_reference import (
+    append_even,
     even_final_subwords,
     even_initial_subwords,
     flip_first,
-    flip_last,
-    is_primitive,
     prepend_even,
-    unimodal_cmp,
 )
 
 F = Fraction
@@ -145,17 +147,6 @@ def test_forces_domain():
             call(STAR, EXAMPLE)
     with pytest.raises(DomainError):
         r_w(None, EXAMPLE)
-
-
-def test_rhe_is_half():
-    assert rhe_is_half("10")
-    assert not rhe_is_half("101")
-    assert rhe_is_half("1001010")
-    assert not rhe_is_half("1")
-    assert rhe_is_half("10111010")  # contains an odd run of ones >= 3
-    assert rhe_is_half("1011")
-    assert not rhe_is_half("10110110")
-    assert rhe_is_half("01010")  # cyclic occurrence across the seam
 
 
 def test_dilution_shrinks_invariant():
@@ -338,8 +329,9 @@ def test_scan_edge_cases_match_reference():
 
 def test_windows_match_word_helpers():
     """The mu and nu windows, spelled with slices and a running parity, are
-    the windows that the checked helpers of words build, in the same order,
-    for every word of length at most 10 and every odd-ones decoration."""
+    the windows that the checked helpers of _word_reference build, in the
+    same order, for every word of length at most 10 and every odd-ones
+    decoration."""
     words = ["".join(p) for n in range(11) for p in product("01", repeat=n)]
     words += [ones_decoration(i) for i in range(MAX_ONES_INDEX + 1)]
     for w in words:
@@ -614,6 +606,36 @@ def test_below_forced_prefix_edges():
     assert _forced_prefix(F(1, 20), 45) not in code
     assert r_w("1", code) == F(1, 41)
     assert _below("1", F(1, 20), 45)(code)
+
+
+def test_below_at_fixed_thresholds(monkeypatch):
+    """With _threshold fixed at t, _below decides lam > t or (mu > t and
+    nu > t) on the greatest ray key of each read, on every necklace of
+    period 3 to 10.
+
+    No real threshold reaches t = 2^N - 2, whose forced prefix 1 0^(N-1)
+    is a whole code (j = N); t = 2^N - 1 is the constant-False case, and
+    seeded t give shorter prefixes.  Every t has t + 1 >= 2^(N-1), as a real
+    threshold has (see _below), so that j >= 1."""
+    rng = random.Random(71)
+    outcomes = dict.fromkeys(product((False, True), repeat=2), 0)
+    for N in range(3, 11):
+        codes = necklaces(N)
+        top = (1 << N) - 1
+        # the mu and nu windows 1 0^(N-1) and 0^(N-1) 1 of w = 0^(N-2) read
+        # the one ray above t = 2^N - 2 from both sides
+        decorations = ("", "1", "0110", "0" * (N - 2))
+        keys = {w: [_reference_keys(code, (w,)) for code in codes] for w in decorations}
+        seeded = (rng.randrange(top >> 1, top - 1) for _ in range(3))
+        for t in (top - 1, top, *seeded):
+            monkeypatch.setattr(invariants, "_threshold", lambda q, N, t=t: t)
+            for w, rows in keys.items():
+                below = _below(w, F(1, 4), N)
+                for code, (lam_, mu_, nu_) in zip(codes, rows):
+                    expected = lam_ > t or mu_ > t and nu_ > t
+                    assert below(code) == expected, (w, t, code)
+                    outcomes[t == top - 1, expected] += 1
+    assert outcomes[True, True] >= 8 and min(outcomes.values()) > 0, outcomes
 
 
 def test_below_slices_no_key_without_the_forced_prefix(monkeypatch):

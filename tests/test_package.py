@@ -28,7 +28,7 @@ PUBLIC = {
     "starlem_check",
     # invariants
     "AT_THRESHOLD", "BACKWARD", "BOTH", "FORCED", "FORWARD", "NOT_FORCED",
-    "STAR", "forces", "lam", "mu", "nu", "r_dir", "r_star", "r_w", "rhe_is_half",
+    "STAR", "forces", "lam", "mu", "nu", "r_dir", "r_star", "r_w",
     # orbits
     "DECORATED", "FINITE_ORDER", "FIXED_POINT", "NBT", "PERIOD_TWO", "REDUCIBLE",
     "Classification", "classify", "is_paired", "orbit_exists", "orbit_height",
@@ -37,9 +37,8 @@ PUBLIC = {
     "DecInvTable", "TableRow", "decinv_table", "necklaces",
     "universality_sample", "universality_scan",
     # words
-    "EQ", "GT", "LT", "DomainError", "Seq", "append_even", "canonical_code",
-    "even_final_subwords", "even_initial_subwords", "flip_first", "flip_last",
-    "is_even", "is_primitive", "prepend_even", "unimodal_cmp",
+    "EQ", "GT", "LT", "DomainError", "Seq", "canonical_code", "flip_last",
+    "is_even", "is_primitive", "unimodal_cmp",
 }
 
 

@@ -14,9 +14,9 @@ from horseshoe.disks import forcing_oracle
 from horseshoe.families import lone_catalog
 from horseshoe.height import height, height_oracle, scope
 from horseshoe.invariants import _below, _values, r_w
-from horseshoe.orbits import q_in_Qw_sufficient
+from horseshoe.orbits import is_paired, q_in_Qw_sufficient
 from horseshoe.survey import necklaces
-from horseshoe.words import GT, DomainError, Seq, canonical_code, unimodal_cmp
+from horseshoe.words import GT, DomainError, Seq, canonical_code, flip_last, unimodal_cmp
 from test_height import _rationals, _reference_scope, _threshold
 from test_invariants import (
     _codes_with_long_runs,
@@ -255,3 +255,20 @@ def test_row_labels_match_reference_periods_15_18():
     elapsed = time.perf_counter() - start
     print(f"\nrow labels vs reference, periods 15-18: {checked} rows agree, "
           f"{elapsed:.1f} s")
+
+
+def test_paired_codes_ending_in_1_have_their_partners_height_to_20():
+    """orbit_height's partner detour changes no height: every paired
+    canonical code ending in 1 with n <= 20 has the height of its partner,
+    the code with its last symbol changed."""
+    start = time.perf_counter()
+    checked = 0
+    for n in range(1, 21):
+        for code in necklaces(n):
+            if code.endswith("1") and is_paired(code):
+                assert height(code) == height(flip_last(code)), code
+                checked += 1
+    elapsed = time.perf_counter() - start
+    print(f"\npaired codes ending in 1 vs their partners, n <= 20: {checked} "
+          f"heights agree, {elapsed:.1f} s")
+    assert checked == 55_448

@@ -15,16 +15,20 @@ from horseshoe.words import (
     LT,
     DomainError,
     Seq,
-    append_even,
     canonical_code,
-    even_final_subwords,
-    even_initial_subwords,
-    flip_first,
     flip_last,
     is_even,
     is_primitive,
-    prepend_even,
     unimodal_cmp,
+)
+
+# the checked helpers that spell the mu and nu windows one step at a time
+from _word_reference import (
+    append_even,
+    even_final_subwords,
+    even_initial_subwords,
+    flip_first,
+    prepend_even,
 )
 
 
