@@ -66,7 +66,6 @@ from .orbits import (
     orbit_exists,
     orbit_height,
     q_in_Qw_sufficient,
-    reverse_orbit,
 )
 from .survey import (
     DecInvTable,

@@ -140,15 +140,9 @@ def _mu_windows(w: str) -> tuple[str, ...]:
 
 def _nu_windows(w: str) -> tuple[str, ...]:
     """x v' for each even initial subword v of w e, shortest first, and x in
-    01, where e makes w e even and v' is v with its last symbol changed."""
-    u = w + "01"[w.count("1") % 2]
-    out, odd = [], False
-    for i, c in enumerate(u):
-        odd ^= c == "1"
-        if not odd:
-            v = u[:i] + _flip(c)
-            out += ("0" + v, "1" + v)
-    return tuple(out)
+    01, where e makes w e even and v' is v with its last symbol changed:
+    mu's windows mirrored, since reversal swaps initial and final subwords."""
+    return tuple(v[::-1] for v in _mu_windows(w[::-1]))
 
 
 def _lam_windows(w: str) -> tuple[str, ...]:
@@ -295,29 +289,21 @@ def _below(w: str, q: Fraction, N: int):
         s = 0
         for e, b in enumerate(_cyclic_bits(code, L_max)):
             node, s = ends[s], go[s + b]
-            # whether the forward ray at e - j, and each occurrence's
-            # backward ray, lie above T_q; each is sliced at most once, when
-            # a read first asks for it
-            f = None
             while node is not None:
                 L, feeds, node = node
                 if e - L >= N:
                     break
-                g = None
+                # flag a read whose forward ray at e - j (d not backward) and
+                # backward ray at p = e - L + j (d not forward) lie above T_q
                 for i, d in feeds:  # d indexes _DIRECTIONS
-                    if above[i]:
-                        continue
-                    if d != 1:  # forward or both
-                        f = fwd((e - j) % N) > t if f is None else f
-                        if not f:
-                            continue
-                    if d != 0:  # backward or both: the ray at p = e - L + j
-                        g = bwd((L - j - e) % N) > t if g is None else g
-                        if not g:
-                            continue
-                    above[i] = True
-                    if above[0] or above[1] and above[2]:
-                        return True
+                    if (
+                        not above[i]
+                        and (d == 1 or fwd((e - j) % N) > t)
+                        and (d == 0 or bwd((L - j - e) % N) > t)
+                    ):
+                        above[i] = True
+                        if above[0] or above[1] and above[2]:
+                            return True
         return False
 
     return below

@@ -15,6 +15,7 @@ from .height import HALF, _check_in_scope, cq_word, height
 from .words import (
     DomainError,
     _check_word,
+    _is_primitive,
     canonical_code,
     flip_last,
     is_primitive,
@@ -51,8 +52,8 @@ def orbit_height(code: str) -> Fraction:
 
 def _canonical_height(code: str) -> Fraction:
     """orbit_height of a code already in canonical form."""
-    if is_paired(code) and code.endswith("1"):
-        code = flip_last(code)
+    if code.endswith("1") and _is_primitive(code[:-1] + "0"):
+        code = code[:-1] + "0"
     return height(code)
 
 
@@ -139,9 +140,3 @@ def q_in_Qw_sufficient(q: Fraction, w: str) -> bool:
     """A primality condition sufficient for q to be a parameter of the w family."""
     q = _check_in_scope(w, q)
     return _is_prime(q.denominator + len(w) + 3)
-
-
-def reverse_orbit(code: str) -> str:
-    """The canonical code of the time-reversed orbit."""
-    _check_word(code, allow_empty=False)
-    return canonical_code(code[::-1])

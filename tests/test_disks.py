@@ -166,6 +166,17 @@ def _outcome(counts, code, w, q):
         return str(exc)
 
 
+def assert_reversal_swaps_disks(got, code, w, q):
+    """Time reversal swaps A, B with C, D: the orbit of R reversed meets the
+    disks of w reversed as R meets C, D, A, B, and is refused when R is."""
+    rev = _outcome(intersection_counts, code[::-1], w[::-1], q)
+    if isinstance(got, str) or isinstance(rev, str):
+        assert isinstance(got, str) and isinstance(rev, str), (code, w, q)
+    else:
+        a, b, c, d = got
+        assert rev == (c, d, a, b), (code, w, q)
+
+
 def test_counts_match_per_point_reference():
     # every necklace with n <= 8, every |w| <= 2, every q < scope(w) with den <= 10
     qs = {F(m, n) for n in range(2, 11) for m in range(1, n // 2 + 1)}
@@ -177,6 +188,7 @@ def test_counts_match_per_point_reference():
                 for q in (q for q in qs if q < scope(w)):
                     got = _outcome(intersection_counts, code, w, q)
                     assert got == _outcome(_reference_counts, code, w, q), (code, w, q)
+                    assert_reversal_swaps_disks(got, code, w, q)
                     cases += 1
                     boundary += isinstance(got, str)
                     if isinstance(got, str):

@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from horseshoe import orbits
-from horseshoe.height import cq_word, finite_order_word
+from horseshoe import orbits, words
+from horseshoe.height import cq_word, finite_order_word, height
 from horseshoe.orbits import (
     DECORATED,
     FINITE_ORDER,
@@ -17,10 +18,9 @@ from horseshoe.orbits import (
     orbit_exists,
     orbit_height,
     q_in_Qw_sufficient,
-    reverse_orbit,
 )
 from horseshoe.survey import necklaces
-from horseshoe.words import canonical_code, is_primitive
+from horseshoe.words import is_primitive
 
 F = Fraction
 
@@ -137,6 +137,27 @@ def test_classify_refuses_codes_that_do_not_fit_their_height(monkeypatch, q):
                 classify(code)
 
 
+def test_classify_checks_its_word_twice(monkeypatch):
+    # canonical_code checks the code and height its canonical spelling; the
+    # partner rule reads the spelling unchecked
+    calls = []
+    check = words._check_word
+
+    def counted(w, **kwargs):
+        calls.append(w)
+        return check(w, **kwargs)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("horseshoe.") and getattr(module, "_check_word", None) is check:
+            monkeypatch.setattr(module, "_check_word", counted)
+    for code in ("1001011", "10010110"):
+        height.cache_clear()
+        calls.clear()
+        classify(code)
+        assert len(calls) == 2, (code, calls)
+
+
 def test_classify_roundtrip_on_necklaces():
     for n in range(1, 15):
         for code in necklaces(n):
@@ -187,11 +208,3 @@ def test_q_in_qw_sufficient():
         q_in_Qw_sufficient(F(1, 3), "")  # the scope of the empty word
     with pytest.raises(DomainError):
         q_in_Qw_sufficient(F(2, 5), "0")  # above the scope of "0"
-
-
-def test_reverse_orbit():
-    assert reverse_orbit("10010") == "10010"
-    assert reverse_orbit("10010110") == canonical_code("01101001")
-    for n in range(1, 9):
-        for code in necklaces(n):
-            assert reverse_orbit(reverse_orbit(code)) == code

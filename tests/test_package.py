@@ -32,7 +32,7 @@ PUBLIC = {
     # orbits
     "DECORATED", "FINITE_ORDER", "FIXED_POINT", "NBT", "PERIOD_TWO", "REDUCIBLE",
     "Classification", "classify", "is_paired", "orbit_exists", "orbit_height",
-    "q_in_Qw_sufficient", "reverse_orbit",
+    "q_in_Qw_sufficient",
     # survey
     "DecInvTable", "TableRow", "decinv_table", "necklaces",
     "universality_sample", "universality_scan",

@@ -10,13 +10,14 @@ from itertools import product
 
 import pytest
 
-from horseshoe.disks import forcing_oracle
+from horseshoe.disks import forcing_oracle, intersection_counts
 from horseshoe.families import lone_catalog
 from horseshoe.height import height, height_oracle, scope
 from horseshoe.invariants import _below, _values, r_w
 from horseshoe.orbits import is_paired, q_in_Qw_sufficient
 from horseshoe.survey import necklaces
 from horseshoe.words import GT, DomainError, Seq, canonical_code, flip_last, unimodal_cmp
+from test_disks import _outcome, assert_reversal_swaps_disks
 from test_height import _rationals, _reference_scope, _threshold
 from test_invariants import (
     _codes_with_long_runs,
@@ -67,6 +68,23 @@ def test_formula_matches_disk_oracle_periods_9_12():
         print(f"\nformula vs disk oracle, period {n}: {checked} agree, "
               f"{refused} refused by the oracle, {elapsed:.1f} s")
         assert checked > 0
+
+
+def test_disk_counts_reverse_to_n_10():
+    """Time reversal swaps the disk counts past tier-1's sweep: every
+    necklace with n <= 10, every |w| <= 3, every q < scope(w) with den <= 16."""
+    qs = {F(m, n) for n in range(2, 17) for m in range(1, n // 2 + 1)}
+    words = ["".join(t) for k in range(4) for t in product("01", repeat=k)]
+    cases = refused = 0
+    for n in range(1, 11):
+        for code in necklaces(n):
+            for w in words:
+                for q in (q for q in qs if q < scope(w)):
+                    got = _outcome(intersection_counts, code, w, q)
+                    assert_reversal_swaps_disks(got, code, w, q)
+                    cases += 1
+                    refused += isinstance(got, str)
+    assert (cases, refused) == (87688, 104)
 
 
 def test_height_matches_oracle_periods_13_40():
